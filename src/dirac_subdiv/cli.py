@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .certificate import certificate_to_json, read_certificate, write_certificate
@@ -78,7 +76,6 @@ def _cmd_embed(args) -> int:
         master_attempts=args.master_attempts,
         partition_attempts=args.partition_attempts,
         level_attempts=args.level_attempts,
-        hampath_restarts=args.hampath_restarts,
         strict_size=not args.flexible,
     )
     degs = {pattern.degree(v) for v in range(pattern.n)}
@@ -196,32 +193,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every cell of the grid; never aborts on per-cell failures.
 
     Trials are seeded from (seed_base, cell index, trial index), so results
-    are reproducible and independent of execution order. Concurrency is
-    capped by the DIRAC_SUBDIV_THREADS environment variable (default 1).
+    are reproducible and independent of execution order.
     """
-    cells = list(spec.cells())
-    tasks = [(idx, kind, n, d, C, eps, t)
-             for idx, kind, n, d, C, eps in cells
-             for t in range(spec.trials)]
-    results: dict[tuple[int, int], dict] = {}
-    workers = max(1, int(os.environ.get("DIRAC_SUBDIV_THREADS", "1")))
-    if workers == 1:
-        for idx, kind, n, d, C, eps, t in tasks:
-            results[(idx, t)] = _sweep_trial(
-                kind, n, d, C, eps, spawn_seed(spec.seed_base, idx, t))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (idx, t): pool.submit(_sweep_trial, kind, n, d, C, eps,
-                                      spawn_seed(spec.seed_base, idx, t))
-                for idx, kind, n, d, C, eps, t in tasks
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
-
     rows = []
-    for idx, kind, n, d, C, eps in cells:
-        trials = [results[(idx, t)] for t in range(spec.trials)]
+    for idx, kind, n, d, C, eps in spec.cells():
+        trials = [_sweep_trial(kind, n, d, C, eps, spawn_seed(spec.seed_base, idx, t))
+                  for t in range(spec.trials)]
         succ = sum(1 for t in trials if t["ok"])
         errors = sum(1 for t in trials if t["error"] is not None)
         row = {
@@ -339,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master-attempts", type=int, default=5)
     p.add_argument("--partition-attempts", type=int, default=50)
     p.add_argument("--level-attempts", type=int, default=50)
-    p.add_argument("--hampath-restarts", type=int, default=24)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("verify", help="check a certificate")

@@ -16,7 +16,7 @@ the whole pipeline retries with a fresh derived seed when any stage fails.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .certificate import SubdivisionCertificate
 from .errors import PartitionError, TemplateError
@@ -44,15 +44,12 @@ class EmbedConfig:
     master_attempts: int = 5
     partition_attempts: int = 50
     level_attempts: int = 50
-    hampath_restarts: int = 24
-    exact_threshold: int = 20
     strict_size: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        for name in ("master_attempts", "partition_attempts", "level_attempts",
-                     "hampath_restarts"):
+        for name in ("master_attempts", "partition_attempts", "level_attempts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -73,7 +70,6 @@ class Template:
     blocks: dict[tuple[int, int], tuple[int, ...]]
     C: int
     size_window: tuple[int, int]
-    stats: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -199,8 +195,21 @@ def _select_connectors_and_branch(g: Graph, h: Graph, parts):
     return tuple(branch), connectors
 
 
+def _counted(counts: dict[str, int], key: str, stage, *args, **kwargs):
+    """Call a randomized partition stage and add its draws to counts[key],
+    whether it returns or raises PartitionError."""
+    try:
+        result = stage(*args, **kwargs)
+    except PartitionError as e:
+        counts[key] += e.attempts
+        raise
+    counts[key] += result.attempts
+    return result
+
+
 def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
-                   seed: int | None = None) -> Template:
+                   seed: int | None = None,
+                   counts: dict[str, int] | None = None) -> Template:
     """Construct and self-check a template.
 
     Stage thresholds follow the proof chain: the whole-host partition is
@@ -208,6 +217,10 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     that value minus eps/4. Raises PartitionError or TemplateError when a
     randomized stage exhausts its budget or a check fails, and ValueError
     when the inputs are structurally unsuitable.
+
+    When `counts` is given, every good-partition draw is added to
+    counts["good_partition"] and every block-level draw to
+    counts["block_levels"] as it happens, so the tally survives a raise.
     """
     n, d, C, extras = resolve_dimensions(g, h, cfg)
     N = g.n
@@ -217,6 +230,8 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
         raise ValueError(f"host min degree {md} below required {bound}")
     if seed is None:
         seed = cfg.seed
+    if counts is None:
+        counts = {"good_partition": 0, "block_levels": 0}
 
     alpha1 = (1.0 + cfg.epsilon) / 2.0
     delta1 = cfg.epsilon / 2.0
@@ -224,32 +239,30 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     sizes = None
     if any(extras):
         sizes = [C * d + e for e in extras]
-    gp = good_partition(g, h, alpha1, delta1, budget=cfg.partition_attempts,
-                        seed=spawn_seed(seed, 0x21), part_sizes=sizes)
+    gp = _counted(counts, "good_partition", good_partition,
+                  g, h, alpha1, delta1, budget=cfg.partition_attempts,
+                  seed=spawn_seed(seed, 0x21), part_sizes=sizes)
 
     branch, connectors = _select_connectors_and_branch(g, h, gp.parts)
 
     blocks: dict[tuple[int, int], tuple[int, ...]] = {}
-    level_attempts = 0
     for i in range(n):
         nbrs = sorted(h.neighbors(i))
         conns = [connectors[(i, j)] for j in nbrs]
-        bp = block_partition(
+        bp = _counted(
+            counts, "block_levels", block_partition,
             g, gp.parts[i], branch[i], conns,
             alpha=tau1, delta=cfg.epsilon / 4.0,
             level_budget=cfg.level_attempts,
             seed=spawn_seed(seed, 0x22, i),
             extras=extras[i] % d,
         )
-        level_attempts += bp.attempts
         for k, j in enumerate(nbrs):
             blocks[(i, j)] = tuple(sorted(
                 bp.blocks[k] + (branch[i], connectors[(i, j)])))
 
     window = (C, C + 1) if not any(extras) else (C, C + 2)
-    template = Template(branch, connectors, blocks, C, window,
-                        stats={"good_partition_attempts": gp.attempts,
-                               "block_level_attempts": level_attempts})
+    template = Template(branch, connectors, blocks, C, window)
     check = check_template(g, h, template)
     if not check.ok:
         raise TemplateError(
@@ -409,22 +422,15 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
     for master in range(1, cfg.master_attempts + 1):
         seed_a = spawn_seed(cfg.seed, 0x01, master)
         try:
-            template = build_template(g, h, cfg, seed=seed_a)
+            template = build_template(g, h, cfg, seed=seed_a, counts=attempts)
         except PartitionError as e:
-            if e.level is None:
-                attempts["good_partition"] += e.attempts
-                last_stage = "good-partition"
-            else:
-                attempts["block_levels"] += e.attempts
-                last_stage = "block-partition"
+            last_stage = "good-partition" if e.level is None else "block-partition"
             failures.append(f"attempt {master}: {last_stage}: {e}")
             continue
         except TemplateError as e:
             last_stage = "template"
             failures.append(f"attempt {master}: template: {e}")
             continue
-        attempts["good_partition"] += template.stats["good_partition_attempts"]
-        attempts["block_levels"] += template.stats["block_level_attempts"]
 
         half_paths: dict[tuple[int, int], list[int]] = {}
         failed_block = None
@@ -436,10 +442,7 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
                 local, stats = hamilton_path_between(
                     sub, index[template.branch[i]],
                     index[template.connectors[(i, j)]],
-                    budget=cfg.hampath_restarts,
-                    seed=spawn_seed(seed_a, 0x12, i, j),
-                    exact_threshold=cfg.exact_threshold,
-                    return_stats=True)
+                    seed=spawn_seed(seed_a, 0x12, i, j), return_stats=True)
                 attempts["hampath_calls"] += 1
                 attempts["hampath_restarts"] += stats["restarts"]
                 if local is None:

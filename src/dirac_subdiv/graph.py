@@ -1,10 +1,10 @@
 """Simple undirected graphs on dense integer vertex ids, plus degree queries.
 
-Vertices are 0..n-1. Neighbor sets are kept both as sorted tuples (for
-iteration) and as int bitmasks (for fast set-degree queries; vertex sets at
-the scales this package works with fit comfortably in a few machine words
-per mask). Graphs are immutable after construction and safe to share across
-threads.
+Vertices are 0..n-1. The only adjacency store is one int bitmask per vertex:
+bit u of row v is set when uv is an edge, so a row costs about n/8 bytes
+whatever the degree. Degrees are popcounts, and neighbour tuples and edge
+lists are read off the set bits in ascending order on request. Graphs are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,30 +16,23 @@ from collections.abc import Iterable, Iterator
 class Graph:
     """Immutable simple undirected graph."""
 
-    __slots__ = ("_n", "_neighbors", "_masks", "_edge_count")
+    __slots__ = ("_n", "_masks", "_edge_count")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        self._n = int(vertex_count)
-        sets: list[set[int]] = [set() for _ in range(self._n)]
+        n = self._n = int(vertex_count)
+        masks = [0] * n
         for u, v in edges:
             u, v = int(u), int(v)
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise ValueError(f"edge ({u},{v}) out of range for {self._n} vertices")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            sets[u].add(v)
-            sets[v].add(u)
-        self._neighbors = tuple(tuple(sorted(s)) for s in sets)
-        masks = []
-        for s in sets:
-            m = 0
-            for v in s:
-                m |= 1 << v
-            masks.append(m)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self._masks = tuple(masks)
-        self._edge_count = sum(len(s) for s in sets) // 2
+        self._edge_count = sum(m.bit_count() for m in masks) // 2
 
     @property
     def n(self) -> int:
@@ -51,7 +44,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        return self._neighbors[v]
+        return tuple(bits(self._masks[v]))
 
     def neighbor_mask(self, v: int) -> int:
         self._check_vertex(v)
@@ -59,7 +52,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._neighbors[v])
+        return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -68,10 +61,9 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self._n):
-            for v in self._neighbors[u]:
-                if v > u:
-                    yield (u, v)
+        for u, mask in enumerate(self._masks):
+            for v in bits(mask >> (u + 1)):
+                yield (u, u + 1 + v)
 
     def full_mask(self) -> int:
         return (1 << self._n) - 1

@@ -50,7 +50,7 @@ def _rotation_restart(g: Graph, x: int, y: int, rng) -> list[int] | None:
         if len(path) == n - 1 and g.has_edge(e, y):
             path.append(y)
             return path
-        ext = [u for u in g.neighbors(e) if not (on_path >> u & 1) and u != y]
+        ext = list(bits(g.neighbor_mask(e) & ~on_path & ~(1 << y)))
         if ext:
             u = ext[int(rng.integers(len(ext)))]
             path.append(u)

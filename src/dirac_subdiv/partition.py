@@ -296,8 +296,9 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     once S is a finished block), degree of the center into S >= tau*|S|, and
     degree of each connector indexed inside S's interval >= tau*|S|. Failing
     levels are re-randomized up to level_budget times; exhaustion raises
-    PartitionError naming the level and failed event. Requires the induced
-    group min degree to be at least alpha*|group|.
+    PartitionError naming the level and failed event, whose attempts count
+    every level draw of the call (accepted levels included). Requires the
+    induced group min degree to be at least alpha*|group|.
     """
     if not (0 < delta < alpha):
         raise ValueError("need 0 < delta < alpha")
@@ -387,7 +388,8 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
             raise PartitionError(
                 f"level {level} degree events failed {level_budget} times; "
                 f"last violation: {last_viol}",
-                attempts=level_budget, level=level, violation=last_viol)
+                attempts=total_attempts + level_budget, level=level,
+                violation=last_viol)
 
     blocks = tuple(current)
     assert [len(b) for b in blocks] == sizes

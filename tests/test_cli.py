@@ -194,12 +194,3 @@ class TestSweep:
         assert all(0.0 <= r <= 1.0 for r in rates)
         # monotonicity in epsilon is only flagged, never a failure
         assert all(n.startswith("note:") for n in result.notes)
-
-    def test_thread_env_cap(self, monkeypatch):
-        monkeypatch.setenv("DIRAC_SUBDIV_THREADS", "2")
-        spec = SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(6,),
-                         epsilons=(0.3,), trials=4, seed_base=3)
-        seq = run_sweep(spec)
-        monkeypatch.setenv("DIRAC_SUBDIV_THREADS", "1")
-        par = run_sweep(spec)
-        assert seq.csv_text == par.csv_text

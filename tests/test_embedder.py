@@ -1,11 +1,13 @@
 import pytest
 
+from dirac_subdiv import embedder, partition
 from dirac_subdiv import (EmbedConfig, Graph,
                           Template, build_template, certificate_from_json,
                           certificate_to_json, check_template, complete_graph,
                           embed_subdivision, gen_dirac_host,
-                          gen_two_clique_extremal, glue, HostSpec,
-                          verify_certificate)
+                          gen_random_regular, gen_two_clique_extremal, glue,
+                          HostSpec, PartitionError, verify_certificate)
+from dirac_subdiv.embedder import TemplateCheck
 
 from support import complete_minus, path_graph
 
@@ -266,3 +268,69 @@ class TestCertificateSerialization:
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             certificate_from_json('{"format": "something-else"}')
+
+
+class TestAttemptCounts:
+    """stage_attempts sums every draw of every master attempt, including
+    the draws of attempts that fail."""
+
+    def test_forced_block_partition_failure(self, monkeypatch):
+        # K36 host, triangle pattern (C=6, d=2): the good partition and the
+        # one bisection level of a group are accepted at their first draw.
+        # Every second block partition (group 1 of each attempt) is made to
+        # fail after 7 draws, so an attempt draws 1 + 1 + 7 and stops.
+        real = embedder.block_partition
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise PartitionError("forced", attempts=7, level=1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(embedder, "block_partition", second_fails)
+        rep = embed_subdivision(complete_graph(36), complete_graph(3),
+                                EmbedConfig(epsilon=0.3, C=6, seed=2,
+                                            master_attempts=3))
+        assert not rep.success and rep.failure_stage == "block-partition"
+        assert rep.master_attempts_used == 3
+        assert len(calls) == 6
+        assert rep.stage_attempts == {"good_partition": 3, "block_levels": 24,
+                                      "hampath_calls": 0, "hampath_restarts": 0}
+
+    def test_forced_template_failure(self, monkeypatch):
+        # both partition stages succeed at their first draw in each of the
+        # three groups; the self-check then rejects the template
+        monkeypatch.setattr(embedder, "check_template",
+                            lambda g, h, t: TemplateCheck(False, "forced", "-"))
+        rep = embed_subdivision(complete_graph(36), complete_graph(3),
+                                EmbedConfig(epsilon=0.3, C=6, seed=2,
+                                            master_attempts=2))
+        assert not rep.success and rep.failure_stage == "template"
+        assert rep.stage_attempts == {"good_partition": 2, "block_levels": 6,
+                                      "hampath_calls": 0, "hampath_restarts": 0}
+
+    def test_counts_match_draws_near_the_cliff(self, monkeypatch):
+        # N=2304 at eps=0.25: each attempt draws a good partition, clears
+        # some groups, then exhausts level 2 of a later group. Every draw
+        # derives its seed through partition.spawn_seed with a stage tag
+        # (0x0A good partition, 0x0B block level), which is tallied here.
+        host = gen_dirac_host(HostSpec(48, 4, 12, 0.25, seed=3))
+        pattern = gen_random_regular(48, 4, seed=0)
+        real = partition.spawn_seed
+        tags = []
+
+        def spy(*parts):
+            tags.append(parts[1])
+            return real(*parts)
+
+        monkeypatch.setattr(partition, "spawn_seed", spy)
+        rep = embed_subdivision(host, pattern, EmbedConfig(
+            epsilon=0.25, C=12, seed=1, master_attempts=3))
+        assert [f.split(": ")[1] for f in rep.failures] == ["block-partition"] * 3
+        assert rep.stage_attempts == {
+            "good_partition": tags.count(0x0A),
+            "block_levels": tags.count(0x0B),
+            "hampath_calls": 0, "hampath_restarts": 0}
+        assert rep.stage_attempts["good_partition"] >= 3
+        assert rep.stage_attempts["block_levels"] > 3 * 50

@@ -1,0 +1,37 @@
+"""Golden bytes: a seed must reproduce these documents exactly, release to
+release. Each value is sha256(text)[:16] of the document as first written."""
+
+import hashlib
+
+from dirac_subdiv import (EmbedConfig, HostSpec, certificate_to_json,
+                          complete_graph, embed_subdivision, format_edge_list,
+                          gen_dirac_host, gen_random_regular)
+from dirac_subdiv.cli import SweepSpec, run_sweep
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_host_edge_list():
+    host = gen_dirac_host(HostSpec(4, 3, 12, 0.25, seed=1005))
+    assert digest(format_edge_list(host)) == "9eef05dc0061380e"
+
+
+def test_certificate():
+    host = gen_dirac_host(HostSpec(4, 3, 12, 0.25, seed=1005))
+    report = embed_subdivision(host, complete_graph(4),
+                               EmbedConfig(0.25, C=12, seed=5))
+    assert digest(certificate_to_json(report.certificate)) == "eca10555ed921f91"
+
+
+def test_pattern_edge_list():
+    pattern = gen_random_regular(8, 3, seed=3000)
+    assert digest(format_edge_list(pattern)) == "b325b887d1305cbf"
+
+
+def test_sweep_csv():
+    # the grid of acceptance criterion 10
+    spec = SweepSpec(kinds=("complete", "two-clique"), ns=(3,), ds=(2,),
+                     Cs=(6,), epsilons=(0.4, 0.25), trials=2, seed_base=13)
+    assert digest(run_sweep(spec).csv_text) == "3609e09cd13a73f4"

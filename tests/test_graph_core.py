@@ -187,3 +187,45 @@ class TestEdgeListFormat:
         dot = to_dot(g)
         assert dot.startswith("graph G {")
         assert "0 -- 1;" in dot and "1 -- 2;" in dot
+
+
+@st.composite
+def edge_lists(draw, max_n=70):
+    """(n, edges) with edges in either orientation and some repeated; n runs
+    past 64 so masks span more than one machine word."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=3 * n))
+    if edges:
+        repeats = draw(st.lists(st.sampled_from(edges), max_size=len(edges)))
+        edges += [(v, u) for u, v in repeats] + repeats
+    return n, edges
+
+
+class TestAgainstSetReference:
+    @settings(max_examples=80, deadline=None)
+    @given(edge_lists(), st.randoms(use_true_random=False))
+    def test_queries_match_set_reference(self, case, rnd):
+        n, edges = case
+        ref = [set() for _ in range(n)]
+        for u, v in edges:
+            ref[u].add(v)
+            ref[v].add(u)
+        g = Graph(n, edges)
+        for v in range(n):
+            assert g.neighbors(v) == tuple(sorted(ref[v]))
+            assert g.degree(v) == len(ref[v])
+        expected = [(u, v) for u in range(n) for v in sorted(ref[u]) if u < v]
+        assert list(g.edges()) == expected
+        assert g.edge_count == len(expected)
+
+        shuffled = [(v, u) for u, v in expected]
+        rnd.shuffle(shuffled)
+        same = Graph(n, shuffled)
+        assert g == same and hash(g) == hash(same)
+        if expected:
+            assert g != Graph(n, expected[1:])
+        assert g != Graph(n + 1, expected)

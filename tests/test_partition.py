@@ -1,14 +1,16 @@
 import math
+import random
 
 import pytest
 
+from dirac_subdiv import partition
 from dirac_subdiv import (Graph, PartitionError, block_partition,
                           complete_graph, degree_into, gen_dirac_host,
                           gen_two_clique_extremal, good_partition, HostSpec,
                           hypergeometric_tail_bound, interval_tree,
-                          is_good_partition)
+                          is_good_partition, min_degree)
 
-from support import path_graph
+from support import path_graph, random_gnp
 
 
 class TestTailBound:
@@ -240,6 +242,29 @@ class TestBlockPartition:
         assert err.level == 1
         assert err.attempts == 3
         assert err.violation is not None
+
+    def test_exhaustion_counts_accepted_levels(self, monkeypatch):
+        # a 0.7-dense random group: level 1 is accepted after a few draws,
+        # level 2 fails all of its budget; the error counts both
+        g = random_gnp(48, 0.7, random.Random(0))
+        alpha = min_degree(g) / 48
+        real = partition.spawn_seed
+        draws = []
+
+        def spy(*parts):
+            draws.append(parts)
+            return real(*parts)
+
+        monkeypatch.setattr(partition, "spawn_seed", spy)
+        with pytest.raises(PartitionError) as exc:
+            block_partition(g, range(48), center=0, connectors=[1, 2, 3, 4],
+                            alpha=alpha, delta=alpha - 0.4375, level_budget=5,
+                            seed=3)
+        err = exc.value
+        assert err.level == 2
+        level1 = sum(1 for p in draws if p[2] == 1)
+        assert level1 >= 1 and len(draws) == level1 + 5
+        assert err.attempts == len(draws)
 
     def test_preconditions(self):
         g = complete_graph(16)
