@@ -1,0 +1,6 @@
+"""`python -m dirac_subdiv` runs the command-line interface."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

@@ -74,8 +74,6 @@ def _cmd_embed(args) -> int:
     cfg = EmbedConfig(
         epsilon=args.epsilon, C=args.C, seed=args.seed,
         master_attempts=args.master_attempts,
-        partition_attempts=args.partition_attempts,
-        level_attempts=args.level_attempts,
         strict_size=not args.flexible,
     )
     degs = {pattern.degree(v) for v in range(pattern.n)}
@@ -314,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flexible", action="store_true",
                    help="allow host order above C*d*n, widening block sizes")
     p.add_argument("--master-attempts", type=int, default=5)
-    p.add_argument("--partition-attempts", type=int, default=50)
-    p.add_argument("--level-attempts", type=int, default=50)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("verify", help="check a certificate")

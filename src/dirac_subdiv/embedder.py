@@ -42,16 +42,13 @@ class EmbedConfig:
     C: int | None = None
     seed: int = 0
     master_attempts: int = 5
-    partition_attempts: int = 50
-    level_attempts: int = 50
     strict_size: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        for name in ("master_attempts", "partition_attempts", "level_attempts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.master_attempts < 1:
+            raise ValueError("master_attempts must be >= 1")
 
 
 @dataclass
@@ -216,18 +213,14 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     checked at (1+eps)/2 minus eps/2, and the per-group block partitions at
     that value minus eps/4. Raises PartitionError or TemplateError when a
     randomized stage exhausts its budget or a check fails, and ValueError
-    when the inputs are structurally unsuitable.
+    when the inputs are structurally unsuitable or the host misses the
+    degree bound (the latter checked by good_partition).
 
     When `counts` is given, every good-partition draw is added to
     counts["good_partition"] and every block-level draw to
     counts["block_levels"] as it happens, so the tally survives a raise.
     """
     n, d, C, extras = resolve_dimensions(g, h, cfg)
-    N = g.n
-    md = min_degree(g)
-    bound = dirac_degree_bound(N, cfg.epsilon)
-    if md is None or md < bound:
-        raise ValueError(f"host min degree {md} below required {bound}")
     if seed is None:
         seed = cfg.seed
     if counts is None:
@@ -240,8 +233,8 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     if any(extras):
         sizes = [C * d + e for e in extras]
     gp = _counted(counts, "good_partition", good_partition,
-                  g, h, alpha1, delta1, budget=cfg.partition_attempts,
-                  seed=spawn_seed(seed, 0x21), part_sizes=sizes)
+                  g, h, alpha1, delta1, seed=spawn_seed(seed, 0x21),
+                  part_sizes=sizes)
 
     branch, connectors = _select_connectors_and_branch(g, h, gp.parts)
 
@@ -253,7 +246,6 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
             counts, "block_levels", block_partition,
             g, gp.parts[i], branch[i], conns,
             alpha=tau1, delta=cfg.epsilon / 4.0,
-            level_budget=cfg.level_attempts,
             seed=spawn_seed(seed, 0x22, i),
             extras=extras[i] % d,
         )

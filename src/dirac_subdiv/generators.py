@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .graph import Graph, min_degree
+from .graph import Graph, bits, min_degree
 from .rng import make_rng, spawn_seed
 
 DIRAC_HOST_ATTEMPTS = 50
@@ -80,10 +80,6 @@ def gen_two_clique_extremal(half: int) -> Graph:
 
 
 def _sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
-    if p >= 1.0:
-        return complete_graph(n)
-    if p <= 0.0:
-        return Graph(n)
     iu, iv = np.triu_indices(n, k=1)
     keep = rng.random(iu.shape[0]) < p
     pairs = zip(iu[keep].tolist(), iv[keep].tolist())
@@ -113,32 +109,22 @@ def gen_dirac_host(spec: HostSpec) -> Graph:
 
 
 def _complement(g: Graph) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return Graph(g.n, edges)
+    full = g.full_mask()
+    return Graph(g.n, ((u, u + 1 + v) for u in range(g.n)
+                       for v in bits((full ^ g.neighbor_mask(u)) >> (u + 1))))
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> Graph | None:
     # Uniform pairing of degree stubs; reject the whole pairing on any loop
-    # or repeated pair, which keeps the output uniform over simple d-regular
-    # graphs.
+    # or repeated pair (a Graph with fewer than n*d/2 edges), which keeps the
+    # output uniform over simple d-regular graphs.
     stubs = np.repeat(np.arange(n), d)
     rng.shuffle(stubs)
-    stubs = stubs.tolist()
-    edges = set()
-    for i in range(0, len(stubs), 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u == v:
-            return None
-        e = (u, v) if u < v else (v, u)
-        if e in edges:
-            return None
-        edges.add(e)
-    return Graph(n, edges)
+    u, v = stubs.reshape(-1, 2).T
+    if (u == v).any():
+        return None
+    g = Graph(n, zip(u.tolist(), v.tolist()))
+    return g if g.edge_count == n * d // 2 else None
 
 
 def gen_random_regular(n: int, d: int, seed: int = 0) -> Graph:

@@ -124,12 +124,9 @@ def induced(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
         raise ValueError("member set contains out-of-range vertices")
     index = {v: i for i, v in enumerate(vs)}
     mask = mask_of(vs)
-    edges = []
-    for v in vs:
-        for u in bits(g.neighbor_mask(v) & mask):
-            if u > v:
-                edges.append((index[v], index[u]))
-    return Graph(len(vs), edges), index
+    pairs = ((index[v], index[u]) for v in vs
+             for u in bits(g.neighbor_mask(v) & mask) if u > v)
+    return Graph(len(vs), pairs), index
 
 
 def min_degree(g: Graph) -> int | None:
@@ -168,13 +165,24 @@ def bipartite_min_degree(g: Graph, a: Iterable[int], b: Iterable[int]) -> int | 
 
 # --- edge-list text format ---------------------------------------------------
 # First line "N M", then M lines "u v" with 0 <= u < v < N. The reader rejects
-# loops, duplicates, out-of-range ids and count mismatches.
+# loops, duplicates, out-of-range ids (via Graph) and count mismatches.
 
 
 def format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
+
+
+def _edge_lines(lines: list[str]) -> Iterator[tuple[int, int]]:
+    for ln in lines:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed edge line {ln!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if u >= v:
+            raise ValueError(f"edge {u} {v} violates u < v")
+        yield u, v
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -189,22 +197,14 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError("negative counts in header")
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
-    seen = set()
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u == v:
-            raise ValueError(f"loop edge {u} {v}")
-        if not (0 <= u < v < n):
-            raise ValueError(f"edge {u} {v} violates 0 <= u < v < {n}")
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge {u} {v}")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+    g = Graph(n, _edge_lines(lines[1:]))
+    if g.edge_count != m:
+        seen = set()
+        for e in _edge_lines(lines[1:]):
+            if e in seen:
+                raise ValueError(f"duplicate edge {e[0]} {e[1]}")
+            seen.add(e)
+    return g
 
 
 def write_edge_list(g: Graph, path: str | os.PathLike) -> None:

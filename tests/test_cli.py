@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dirac_subdiv import (complete_graph, format_edge_list, min_degree,
-                          read_certificate, read_edge_list, verify_certificate,
-                          write_edge_list)
+                          parse_edge_list, read_certificate, read_edge_list,
+                          verify_certificate, write_edge_list)
 from dirac_subdiv.cli import SweepSpec, main, run_sweep
 
 
@@ -126,6 +129,21 @@ class TestEmbedVerify:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["2 1\n0 0\n", "3 1\n1 0\n",
+                                      "3 1\n-1 2\n", "3 1\n0 3\n",
+                                      "3 1\n0 1 2\n", "3 2\n0 1\n",
+                                      "3 3\n0 1\n0 2\n0 1\n", "3\n", ""])
+    def test_malformed_host_usage_error(self, tmp_path, capsys, text):
+        with pytest.raises(ValueError) as info:
+            parse_edge_list(text)
+        host = tmp_path / "host.txt"
+        host.write_text(text)
+        patt = write_instance(tmp_path, "patt.txt", complete_graph(3))
+        rc = main(["embed", "--host", str(host), "--pattern", patt,
+                   "--epsilon", "0.3"])
+        assert rc == 2
+        assert f"error: {info.value}" in capsys.readouterr().err
+
     def test_unknown_subcommand_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -194,3 +212,13 @@ class TestSweep:
         assert all(0.0 <= r <= 1.0 for r in rates)
         # monotonicity in epsilon is only flagged, never a failure
         assert all(n.startswith("note:") for n in result.notes)
+
+
+def test_python_m_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "dirac_subdiv", "--help"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert "embed" in done.stdout

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from dirac_subdiv import (GenerationError, Graph, HostSpec, complete_graph,
                           format_edge_list, gen_dirac_host, gen_random_regular,
                           gen_two_clique_extremal, min_degree)
-from dirac_subdiv.generators import dirac_degree_bound
+from dirac_subdiv.generators import _pairing_attempt, dirac_degree_bound
+from dirac_subdiv.rng import make_rng
 
 
 class TestCompleteGraph:
@@ -77,6 +79,30 @@ class TestRandomRegular:
         a = gen_random_regular(10, 3, seed=77)
         b = gen_random_regular(10, 3, seed=77)
         assert format_edge_list(a) == format_edge_list(b)
+
+    def test_pairing_matches_set_reference(self):
+        def reference(n, d, rng):
+            stubs = np.repeat(np.arange(n), d)
+            rng.shuffle(stubs)
+            stubs = stubs.tolist()
+            edges = set()
+            for i in range(0, len(stubs), 2):
+                u, v = stubs[i], stubs[i + 1]
+                if u == v:
+                    return None
+                e = (u, v) if u < v else (v, u)
+                if e in edges:
+                    return None
+                edges.add(e)
+            return Graph(n, edges)
+
+        rejected = []
+        for n, d in [(16, 5), (32, 5), (12, 3)]:
+            for seed in range(50):
+                got = _pairing_attempt(n, d, make_rng(seed))
+                assert got == reference(n, d, make_rng(seed)), (n, d, seed)
+                rejected.append(got is None)
+        assert any(rejected) and not all(rejected)
 
 
 class TestDiracHost:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from dirac_subdiv import (Graph, bipartite_min_degree, degree_into,
                           complete_graph, format_edge_list, induced,
                           min_degree, parse_edge_list, to_dot)
 
+from dirac_subdiv.generators import _complement
 from support import cycle_graph, path_graph
 
 
@@ -177,9 +180,22 @@ class TestEdgeListFormat:
         "3 1\n0 3\n",             # out of range
         "3 2\n0 1\n",             # count mismatch
         "3\n",                    # bad header
+        "3 1\n-1 2\n",            # negative id
+        "3 1\n0 1 2\n",           # three tokens
+        "3 3\n0 1\n0 2\n0 1\n",   # duplicate, not adjacent
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n0 1\n0 1\n", "duplicate edge 0 1"),
+        ("3 3\n0 1\n0 2\n0 1\n", "duplicate edge 0 1"),
+        ("3 1\n-1 2\n", "edge (-1,2) out of range for 3 vertices"),
+        ("3 1\n0 3\n", "edge (0,3) out of range for 3 vertices"),
+    ])
+    def test_error_names_the_edge(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_edge_list(text)
 
     def test_dot_export(self):
@@ -229,3 +245,8 @@ class TestAgainstSetReference:
         if expected:
             assert g != Graph(n, expected[1:])
         assert g != Graph(n + 1, expected)
+
+        assert parse_edge_list(format_edge_list(g)) == g
+        missing = [(u, v) for u in range(n) for v in range(u + 1, n)
+                   if v not in ref[u]]
+        assert _complement(g) == Graph(n, missing)
