@@ -47,23 +47,30 @@ def certificate_to_json(cert: SubdivisionCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> SubdivisionCertificate:
+    """Parse a certificate document. Any malformed document, including a
+    missing field or a value of the wrong type, raises ValueError."""
     doc = json.loads(text)
-    if doc.get("format") != FORMAT_TAG:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ValueError("not a subdivision certificate document")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported certificate version {doc.get('version')}")
-    pattern = Graph(int(doc["pattern_vertex_count"]),
-                    [(int(u), int(v)) for u, v in doc["pattern_edges"]])
-    edge_paths = {}
-    for entry in doc["edge_paths"]:
-        i, j = (int(t) for t in entry["edge"])
-        edge_paths[(i, j)] = tuple(int(v) for v in entry["vertices"])
-    return SubdivisionCertificate(
-        host_vertex_count=int(doc["host_vertex_count"]),
-        pattern=pattern,
-        branch_map=tuple(int(v) for v in doc["branch_map"]),
-        edge_paths=edge_paths,
-    )
+    try:
+        pattern = Graph(int(doc["pattern_vertex_count"]),
+                        [(int(u), int(v)) for u, v in doc["pattern_edges"]])
+        edge_paths = {}
+        for entry in doc["edge_paths"]:
+            i, j = (int(t) for t in entry["edge"])
+            edge_paths[(i, j)] = tuple(int(v) for v in entry["vertices"])
+        return SubdivisionCertificate(
+            host_vertex_count=int(doc["host_vertex_count"]),
+            pattern=pattern,
+            branch_map=tuple(int(v) for v in doc["branch_map"]),
+            edge_paths=edge_paths,
+        )
+    except KeyError as e:
+        raise ValueError(f"certificate is missing the field {e}") from None
+    except TypeError as e:
+        raise ValueError(f"certificate has a value of the wrong type: {e}") from None
 
 
 def write_certificate(cert: SubdivisionCertificate, path: str | os.PathLike) -> None:

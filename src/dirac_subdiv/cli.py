@@ -74,7 +74,6 @@ def _cmd_embed(args) -> int:
     cfg = EmbedConfig(
         epsilon=args.epsilon, C=args.C, seed=args.seed,
         master_attempts=args.master_attempts,
-        strict_size=not args.flexible,
     )
     degs = {pattern.degree(v) for v in range(pattern.n)}
     if len(degs) == 1:
@@ -172,10 +171,7 @@ def _sweep_trial(kind: str, n: int, d: int, C: int, eps: float, seed: int) -> di
             host = gen_two_clique_extremal(N // 2)
         else:
             host = gen_dirac_host(HostSpec(n, d, C, eps, seed))
-        if d == n - 1:
-            pattern = complete_graph(n)
-        else:
-            pattern = gen_random_regular(n, d, spawn_seed(seed, 0x33))
+        pattern = gen_random_regular(n, d, spawn_seed(seed, 0x33))
         rep = embed_subdivision(host, pattern, EmbedConfig(epsilon=eps, C=C, seed=seed))
         out.update(ok=rep.success, master=rep.master_attempts_used,
                    good_partition=rep.stage_attempts["good_partition"],
@@ -306,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--C", type=int)
+    p.add_argument("--C", type=int,
+                   help="expected blow-up constant; C is always N // (d*n), "
+                        "and a host order outside [C*d*n, (C+1)*d*n) is an error")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--flexible", action="store_true",
-                   help="allow host order above C*d*n, widening block sizes")
     p.add_argument("--master-attempts", type=int, default=5)
     p.set_defaults(func=_cmd_embed)
 

@@ -1,13 +1,13 @@
 """Spanning-subdivision embedding pipeline.
 
-Given a host graph G on N = C*d*n vertices with minimum degree at least
-(1+eps)*N/2 and a d-regular pattern H on n vertices, the pipeline builds a
-template (one branch vertex per pattern vertex, one connector pair and one
-block per pattern edge end), finds a Hamilton path from the branch vertex
-to the connector inside every block, and glues path pairs across connector
-edges into one host path per pattern edge. The result is a certificate that
-is verified from scratch before being reported; a success report never
-carries an unverified certificate.
+Given a host graph G on N = C*d*n + r vertices (0 <= r < d*n) with minimum
+degree at least (1+eps)*N/2 and a d-regular pattern H on n vertices, the
+pipeline builds a template (one branch vertex per pattern vertex, one
+connector pair and one block per pattern edge end), finds a Hamilton path
+from the branch vertex to the connector inside every block, and glues path
+pairs across connector edges into one host path per pattern edge. The
+result is a certificate that is verified from scratch before being
+reported; a success report never carries an unverified certificate.
 
 Randomness is Las Vegas throughout: every stage checks its own output and
 the whole pipeline retries with a fresh derived seed when any stage fails.
@@ -32,17 +32,17 @@ from .verifier import PathLengthStats, verify_certificate
 class EmbedConfig:
     """Knobs for one embedding run.
 
-    epsilon is the degree slack of the host guarantee; C the blow-up
-    constant (derived from the host order when None). strict_size demands
-    the host order equal C*d*n exactly; otherwise the remainder is spread
-    one vertex per block and block sizes widen by one.
+    epsilon is the degree slack of the host guarantee. The blow-up constant
+    is always C = N // (d*n) for a host of order N; a given C is only
+    checked against that value. The host splits equitably into n groups,
+    the first N mod n of them one vertex larger, so an order above C*d*n
+    widens the block-size window by one.
     """
 
     epsilon: float
     C: int | None = None
     seed: int = 0
     master_attempts: int = 5
-    strict_size: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
@@ -114,36 +114,19 @@ class EmbedReport:
 
 
 def resolve_dimensions(g: Graph, h: Graph, cfg: EmbedConfig):
-    """Derive (n, d, C, per-group extra vertices) and validate the order."""
+    """Derive (n, d, C) from the pattern and the host order."""
     n = h.n
     d = regular_degree(h)
     if n < 2 or d < 1:
         raise ValueError("pattern must be d-regular with d >= 1 on n >= 2 vertices")
-    N = g.n
-    if cfg.strict_size:
-        if cfg.C is not None:
-            if N != cfg.C * d * n:
-                raise ValueError(
-                    f"strict sizing: host order {N} != C*d*n = {cfg.C * d * n}")
-            C = cfg.C
-        else:
-            if N % (d * n) != 0:
-                raise ValueError(
-                    f"strict sizing: host order {N} not divisible by d*n = {d * n}")
-            C = N // (d * n)
-        extras = [0] * n
-    else:
-        C = cfg.C if cfg.C is not None else N // (d * n)
-        r = N - C * d * n
-        if r < 0 or r >= d * n:
-            raise ValueError(
-                f"flexible sizing: host order {N} must lie in [C*d*n, (C+1)*d*n) "
-                f"for C={C}")
-        base, rem = divmod(r, n)
-        extras = [base + (1 if i < rem else 0) for i in range(n)]
+    C = g.n // (d * n)
+    if cfg.C is not None and cfg.C != C:
+        raise ValueError(
+            f"host order {g.n} must lie in [C*d*n, (C+1)*d*n) = "
+            f"[{cfg.C * d * n}, {(cfg.C + 1) * d * n}) for C={cfg.C}")
     if C < 3:
         raise ValueError(f"blow-up constant C={C} too small; need C >= 3")
-    return n, d, C, extras
+    return n, d, C
 
 
 def _part_order(g: Graph, part) -> list[int]:
@@ -220,7 +203,7 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     counts["good_partition"] and every block-level draw to
     counts["block_levels"] as it happens, so the tally survives a raise.
     """
-    n, d, C, extras = resolve_dimensions(g, h, cfg)
+    n, d, C = resolve_dimensions(g, h, cfg)
     if seed is None:
         seed = cfg.seed
     if counts is None:
@@ -229,12 +212,8 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     alpha1 = (1.0 + cfg.epsilon) / 2.0
     delta1 = cfg.epsilon / 2.0
     tau1 = alpha1 - delta1
-    sizes = None
-    if any(extras):
-        sizes = [C * d + e for e in extras]
     gp = _counted(counts, "good_partition", good_partition,
-                  g, h, alpha1, delta1, seed=spawn_seed(seed, 0x21),
-                  part_sizes=sizes)
+                  g, h, alpha1, delta1, seed=spawn_seed(seed, 0x21))
 
     branch, connectors = _select_connectors_and_branch(g, h, gp.parts)
 
@@ -247,13 +226,13 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
             g, gp.parts[i], branch[i], conns,
             alpha=tau1, delta=cfg.epsilon / 4.0,
             seed=spawn_seed(seed, 0x22, i),
-            extras=extras[i] % d,
+            extras=len(gp.parts[i]) % d,
         )
         for k, j in enumerate(nbrs):
             blocks[(i, j)] = tuple(sorted(
                 bp.blocks[k] + (branch[i], connectors[(i, j)])))
 
-    window = (C, C + 1) if not any(extras) else (C, C + 2)
+    window = (C, C + 1) if g.n == C * d * n else (C, C + 2)
     template = Template(branch, connectors, blocks, C, window)
     check = check_template(g, h, template)
     if not check.ok:
@@ -390,7 +369,7 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
     been verified spanning before being returned.
     """
     t0 = time.perf_counter()
-    n, d, C, extras = resolve_dimensions(g, h, cfg)
+    n, d, C = resolve_dimensions(g, h, cfg)
     N = g.n
     attempts = {"good_partition": 0, "block_levels": 0,
                 "hampath_calls": 0, "hampath_restarts": 0}

@@ -42,9 +42,10 @@ def hypergeometric_tail_bound(n: int, t: float) -> float:
 class GoodPartition:
     """Groups V_0..V_{n-1} of the host, one per pattern vertex.
 
-    part_size is the common group size, or None when the caller requested
-    unequal sizes (flexible host orders). attempts records how many random
-    equipartitions were drawn before one passed the degree checks.
+    The first N mod n groups hold one vertex more than the others.
+    part_size is the common group size, or None when n does not divide the
+    host order N. attempts records how many random equitable partitions
+    were drawn before one passed the degree checks.
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -131,16 +132,15 @@ def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
 
 
 def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
-                   budget: int = 50, seed: int = 0,
-                   part_sizes: Sequence[int] | None = None) -> GoodPartition:
+                   budget: int = 50, seed: int = 0) -> GoodPartition:
     """Random equitable partition of the host, verified at threshold alpha-delta.
 
-    Draws uniformly random partitions of V(g) into |V(h)| groups (equal size
-    g.n/h.n unless part_sizes is given) and returns the first one whose
-    groups and pattern-edge group pairs all have induced minimum degree at
-    least (alpha-delta) times the relevant group size. Requires
-    min_degree(g) >= alpha*g.n. Raises PartitionError with the attempt count
-    and worst violated constraint when the budget runs out.
+    Draws uniformly random partitions of V(g) into n = |V(h)| groups, the
+    first g.n mod n of size g.n // n + 1 and the rest of size g.n // n, and
+    returns the first one whose groups and pattern-edge group pairs all have
+    induced minimum degree at least (alpha-delta) times the relevant group
+    size. Requires min_degree(g) >= alpha*g.n. Raises PartitionError with the
+    attempt count and worst violated constraint when the budget runs out.
     """
     if not (0 < delta < alpha):
         raise ValueError("need 0 < delta < alpha")
@@ -149,14 +149,8 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
     regular_degree(h)
     n = h.n
     N = g.n
-    if part_sizes is None:
-        if n == 0 or N % n != 0:
-            raise ValueError(f"host order {N} not divisible into {n} equal parts")
-        part_sizes = [N // n] * n
-    else:
-        part_sizes = [int(s) for s in part_sizes]
-        if len(part_sizes) != n or sum(part_sizes) != N:
-            raise ValueError("part_sizes must have one entry per pattern vertex and sum to the host order")
+    base, rem = divmod(N, n)
+    sizes = [base + 1] * rem + [base] * (n - rem)
     md = min_degree(g)
     if md is None or md < alpha * N - 1e-9:
         raise ValueError(f"host min degree {md} below required {alpha * N:.3f}")
@@ -170,13 +164,12 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
         perm = rng.permutation(N).tolist()
         parts = []
         pos = 0
-        for size in part_sizes:
+        for size in sizes:
             parts.append(tuple(sorted(perm[pos:pos + size])))
             pos += size
         worst, slack = _degree_violations(g, pattern_edges, parts, threshold)
         if worst is None:
-            common = part_sizes[0] if len(set(part_sizes)) == 1 else None
-            return GoodPartition(tuple(parts), common, attempt)
+            return GoodPartition(tuple(parts), None if rem else base, attempt)
         if slack < worst_slack:
             worst_slack = slack
             worst_overall = worst

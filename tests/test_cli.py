@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from dirac_subdiv import (complete_graph, format_edge_list, min_degree,
+from dirac_subdiv import (SubdivisionCertificate, certificate_to_json,
+                          complete_graph, format_edge_list, min_degree,
                           parse_edge_list, read_certificate, read_edge_list,
                           verify_certificate, write_edge_list)
 from dirac_subdiv.cli import SweepSpec, main, run_sweep
@@ -110,17 +112,42 @@ class TestEmbedVerify:
         assert main(["verify", "--host", host, "--pattern", patt,
                      "--cert", cert, "--spanning"]) == 1
 
-    def test_embed_flexible_flag(self, tmp_path):
+    def test_embed_non_divisible_order(self, tmp_path):
+        # N=40 lies in [C*d*n, (C+1)*d*n) = [36, 42) for K3 at C=6
         host = write_instance(tmp_path, "host.txt", complete_graph(40))
         patt = write_instance(tmp_path, "patt.txt", complete_graph(3))
         cert = str(tmp_path / "cert.json")
+        assert main(["embed", "--host", host, "--pattern", patt,
+                     "--epsilon", "0.3", "--seed", "2", "--out", cert]) == 0
+        assert main(["verify", "--host", host, "--pattern", patt,
+                     "--cert", cert, "--spanning"]) == 0
+
+    def test_order_above_window_usage_error(self, tmp_path, capsys):
+        host = write_instance(tmp_path, "host.txt", complete_graph(42))
+        patt = write_instance(tmp_path, "patt.txt", complete_graph(3))
         rc = main(["embed", "--host", host, "--pattern", patt,
-                   "--epsilon", "0.3", "--seed", "2", "--flexible",
-                   "--out", cert])
-        assert rc == 0
-        loaded = read_certificate(cert)
-        assert verify_certificate(read_edge_list(host), complete_graph(3),
-                                  loaded).ok
+                   "--epsilon", "0.3", "--C", "6"])
+        assert rc == 2
+        assert "error: host order 42" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: {k: v for k, v in doc.items() if k != "edge_paths"},
+        lambda doc: [doc],
+        lambda doc: {**doc, "branch_map": [None, *doc["branch_map"][1:]]},
+        lambda doc: {**doc, "edge_paths": [{"edge": p["edge"]}
+                                           for p in doc["edge_paths"]]},
+    ], ids=["no-edge-paths", "top-level-list", "null-branch", "no-vertices"])
+    def test_malformed_certificate_usage_error(self, tmp_path, capsys, mangle):
+        pattern = complete_graph(2)
+        host = write_instance(tmp_path, "host.txt", complete_graph(4))
+        patt = write_instance(tmp_path, "patt.txt", pattern)
+        good = SubdivisionCertificate(4, pattern, (0, 3), {(0, 1): (0, 1, 2, 3)})
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(mangle(json.loads(certificate_to_json(good)))))
+        rc = main(["verify", "--host", host, "--pattern", patt,
+                   "--cert", str(cert)])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_missing_file_usage_error(self, tmp_path, capsys):
         patt = write_instance(tmp_path, "patt.txt", complete_graph(3))

@@ -225,15 +225,14 @@ class TestEmbedSubdivision:
     def test_flexible_mode(self):
         g = complete_graph(40)  # C=6, d=2, n=3 -> 36, remainder 4
         h = complete_graph(3)
-        rep = embed_subdivision(
-            g, h, EmbedConfig(epsilon=0.3, C=6, seed=5, strict_size=False))
+        rep = embed_subdivision(g, h, EmbedConfig(epsilon=0.3, C=6, seed=5))
         assert rep.success
         assert verify_certificate(g, h, rep.certificate).ok
         lengths = sorted(len(p) - 1 for p in rep.certificate.edge_paths.values())
         assert all(11 <= ln <= 15 for ln in lengths)  # window widens by 2
 
-    def test_strict_mode_rejects_remainder(self):
-        g = complete_graph(40)
+    def test_order_above_window_rejected(self):
+        g = complete_graph(42)  # (C+1)*d*n: C = N // (d*n) is 7, not 6
         h = complete_graph(3)
         with pytest.raises(ValueError):
             embed_subdivision(g, h, EmbedConfig(epsilon=0.3, C=6, seed=5))

@@ -25,6 +25,13 @@ def test_certificate():
     assert digest(certificate_to_json(report.certificate)) == "eca10555ed921f91"
 
 
+def test_certificate_non_divisible_order():
+    # N=40 is not a multiple of d*n=6: groups of 14, 13 and 13 vertices
+    report = embed_subdivision(complete_graph(40), complete_graph(3),
+                               EmbedConfig(0.3, C=6, seed=5))
+    assert digest(certificate_to_json(report.certificate)) == "e08eba75b3ac6cfa"
+
+
 def test_pattern_edge_list():
     pattern = gen_random_regular(8, 3, seed=3000)
     assert digest(format_edge_list(pattern)) == "b325b887d1305cbf"

@@ -136,6 +136,13 @@ class TestGoodPartition:
         assert gp.part_size == C * d
         assert is_good_partition(g, h, gp.parts, threshold=0.5).ok
 
+    def test_non_divisible_order_is_equitable(self):
+        g = complete_graph(25)
+        h = complete_graph(3)
+        gp = good_partition(g, h, alpha=0.7, delta=0.2, budget=10, seed=3)
+        assert [len(p) for p in gp.parts] == [9, 8, 8]
+        assert gp.part_size is None
+
     def test_matching_pattern_on_dirac_host(self):
         # d=1 pattern (perfect matching), moderate host
         host = gen_dirac_host(HostSpec(n=4, d=1, C=20, epsilon=0.2, seed=21))
