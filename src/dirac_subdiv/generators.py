@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .graph import Graph, bits, min_degree
+from .graph import Graph, min_degree
 from .rng import make_rng, spawn_seed
 
 DIRAC_HOST_ATTEMPTS = 50
@@ -58,7 +58,7 @@ def dirac_degree_bound(N: int, epsilon: float) -> int:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def gen_two_clique_extremal(half: int) -> Graph:
@@ -71,19 +71,13 @@ def gen_two_clique_extremal(half: int) -> Graph:
     """
     if half < 1:
         raise ValueError("clique size must be >= 1")
-    edges = []
-    for base in (0, half):
-        edges.extend(
-            (base + u, base + v) for u in range(half) for v in range(u + 1, half)
-        )
-    return Graph(2 * half, edges)
+    clique = np.column_stack(np.triu_indices(half, k=1))
+    return Graph(2 * half, np.concatenate((clique, clique + half)))
 
 
 def _sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
-    iu, iv = np.triu_indices(n, k=1)
-    keep = rng.random(iu.shape[0]) < p
-    pairs = zip(iu[keep].tolist(), iv[keep].tolist())
-    return Graph(n, pairs)
+    pairs = np.column_stack(np.triu_indices(n, k=1))
+    return Graph(n, pairs[rng.random(len(pairs)) < p])
 
 
 def gen_dirac_host(spec: HostSpec) -> Graph:
@@ -110,8 +104,7 @@ def gen_dirac_host(spec: HostSpec) -> Graph:
 
 def _complement(g: Graph) -> Graph:
     full = g.full_mask()
-    return Graph(g.n, ((u, u + 1 + v) for u in range(g.n)
-                       for v in bits((full ^ g.neighbor_mask(u)) >> (u + 1))))
+    return Graph._from_rows([full ^ g.neighbor_mask(v) ^ (1 << v) for v in range(g.n)])
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> Graph | None:
@@ -120,10 +113,10 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> Graph | None:
     # output uniform over simple d-regular graphs.
     stubs = np.repeat(np.arange(n), d)
     rng.shuffle(stubs)
-    u, v = stubs.reshape(-1, 2).T
-    if (u == v).any():
+    pairs = stubs.reshape(-1, 2)
+    if (pairs[:, 0] == pairs[:, 1]).any():
         return None
-    g = Graph(n, zip(u.tolist(), v.tolist()))
+    g = Graph(n, pairs)
     return g if g.edge_count == n * d // 2 else None
 
 

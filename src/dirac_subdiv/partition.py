@@ -99,9 +99,11 @@ def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
                       threshold: float) -> GoodnessCheck:
     """Check the three good-partition conditions at the given threshold.
 
-    Condition 1: all parts share one size m. Condition 2: every part induces
-    minimum degree >= threshold*m. Condition 3: for every pattern edge, the
-    induced bipartite pair has minimum cross-degree >= threshold*m. A
+    Condition 1: the parts form the equitable layout good_partition draws,
+    the first N mod n of size N // n + 1 and the rest of size N // n.
+    Condition 2: every part P induces minimum degree >= threshold*|P|.
+    Condition 3: for every pattern edge ij, each vertex of P_i has at least
+    threshold*|P_j| neighbours in P_j, and vice versa. A
     partition that is structurally broken (wrong part count, overlap, not
     covering the host) raises ValueError; condition failures are reported,
     not raised.
@@ -122,11 +124,11 @@ def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
     if total != g.n or union != g.full_mask():
         raise ValueError("parts do not cover the host vertex set")
 
-    sizes = {len(p) for p in parts}
-    if len(sizes) != 1:
-        m = g.n // h.n
-        bad = next(i for i, p in enumerate(parts) if len(p) != m)
-        return GoodnessCheck(False, ("part-size", bad, len(parts[bad]), m), -math.inf)
+    base, rem = divmod(g.n, h.n)
+    for i, p in enumerate(parts):
+        want = base + (i < rem)
+        if len(p) != want:
+            return GoodnessCheck(False, ("part-size", i, len(p), want), -math.inf)
     worst, min_slack = _degree_violations(g, h.edges(), parts, threshold)
     return GoodnessCheck(worst is None, worst, min_slack)
 

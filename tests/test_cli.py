@@ -52,13 +52,13 @@ class TestGen:
                 "--seed", "9"]
         assert main(args + ["--out", a]) == 0
         assert main(args + ["--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_dot_export(self, tmp_path):
         dot = str(tmp_path / "g.dot")
         assert main(["gen", "--kind", "complete", "--n", "3",
                      "--out", str(tmp_path / "g.txt"), "--dot", dot]) == 0
-        assert "0 -- 1;" in open(dot).read()
+        assert "0 -- 1;" in Path(dot).read_text()
 
     def test_missing_params_usage_error(self):
         assert main(["gen", "--kind", "dirac", "--n", "4"]) == 2
@@ -225,7 +225,7 @@ class TestSweep:
                    "--C", "6", "--epsilon", "0.3", "--trials", "2",
                    "--seed", "1", "--out", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 2
         err = capsys.readouterr().err
         assert "success_rate" in err  # aligned table on stderr

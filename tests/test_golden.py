@@ -5,7 +5,7 @@ import hashlib
 
 from dirac_subdiv import (EmbedConfig, HostSpec, certificate_to_json,
                           complete_graph, embed_subdivision, format_edge_list,
-                          gen_dirac_host, gen_random_regular)
+                          gen_dirac_host, gen_random_regular, parse_edge_list)
 from dirac_subdiv.cli import SweepSpec, run_sweep
 
 
@@ -16,6 +16,14 @@ def digest(text: str) -> str:
 def test_host_edge_list():
     host = gen_dirac_host(HostSpec(4, 3, 12, 0.25, seed=1005))
     assert digest(format_edge_list(host)) == "9eef05dc0061380e"
+
+
+def test_dense_host_round_trip():
+    # the cli-pipeline's largest host: N=480, every id width up to three digits
+    host = gen_dirac_host(HostSpec(10, 4, 12, 0.25, seed=5))
+    text = format_edge_list(host)
+    assert digest(text) == "ad93117fc3f9e9ee"
+    assert parse_edge_list(text) == host
 
 
 def test_certificate():

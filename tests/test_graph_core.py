@@ -183,6 +183,16 @@ class TestEdgeListFormat:
         "3 1\n-1 2\n",            # negative id
         "3 1\n0 1 2\n",           # three tokens
         "3 3\n0 1\n0 2\n0 1\n",   # duplicate, not adjacent
+        "3 1\n0 9223372036854775808\n",      # id past 2**63
+        "3 1\n-99999999999999999999 1\n",
+        "3 1\n0 1.0\n",
+        "3 1\n0 0x1\n",
+        "3 1\n0 1e3\n",
+        "3 1\n0 1-\n",
+        "3 1\n0 -\n",
+        "1e3 0\n",
+        "3 1\n0 1\u00e9\n",               # not ASCII
+        "3000 1\n0 1-2\n",                 # "-" inside a token
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
@@ -193,10 +203,23 @@ class TestEdgeListFormat:
         ("3 3\n0 1\n0 2\n0 1\n", "duplicate edge 0 1"),
         ("3 1\n-1 2\n", "edge (-1,2) out of range for 3 vertices"),
         ("3 1\n0 3\n", "edge (0,3) out of range for 3 vertices"),
+        ("3 1\n0 9223372036854775808\n",
+         "edge (0,9223372036854775808) out of range for 3 vertices"),
+        ("3 2\n0 5\n1 x\n", "edge (0,5) out of range for 3 vertices"),
+        ("3 2\n0 1\n1 x\n", "malformed edge line '1 x'"),
+        ("3 2\n2 1\n0 5\n", "edge 2 1 violates u < v"),
+        ("3 1\n0 1 2\n", "malformed edge line '0 1 2'"),
+        ("3 x\n", "header must be 'N M', got '3 x'"),
+        ("2 1\n1 1\n", "edge 1 1 violates u < v"),
     ])
     def test_error_names_the_edge(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_edge_list(text)
+
+    def test_leading_zeros_and_line_ends(self):
+        # an 18-digit id is read by the vectorised pass, a 25-digit one apart
+        text = "0003 2\r\n\n 000 0000000000000000000000001\t\r1 000000000000000002"
+        assert parse_edge_list(text) == Graph(3, [(0, 1), (1, 2)])
 
     def test_dot_export(self):
         g = path_graph(3)

@@ -142,6 +142,14 @@ class TestGoodPartition:
         gp = good_partition(g, h, alpha=0.7, delta=0.2, budget=10, seed=3)
         assert [len(p) for p in gp.parts] == [9, 8, 8]
         assert gp.part_size is None
+        assert is_good_partition(g, h, gp.parts, threshold=0.5).ok
+
+    def test_non_equitable_split_is_rejected(self):
+        g = complete_graph(25)
+        h = complete_graph(3)
+        parts = [range(0, 10), range(10, 18), range(18, 25)]
+        chk = is_good_partition(g, h, parts, threshold=0.5)
+        assert chk.violation == ("part-size", 0, 10, 9)
 
     def test_matching_pattern_on_dirac_host(self):
         # d=1 pattern (perfect matching), moderate host
