@@ -18,7 +18,8 @@ from .embedder import EmbedConfig, embed_subdivision
 from .errors import GenerationError
 from .generators import (HostSpec, complete_graph, gen_dirac_host,
                          gen_random_regular, gen_two_clique_extremal)
-from .graph import format_edge_list, read_edge_list, to_dot, write_edge_list
+from .graph import (format_edge_list, read_edge_list, regular_degree, to_dot,
+                    write_edge_list)
 from .rng import spawn_seed
 from .verifier import verify_certificate
 
@@ -75,9 +76,10 @@ def _cmd_embed(args) -> int:
         epsilon=args.epsilon, C=args.C, seed=args.seed,
         master_attempts=args.master_attempts,
     )
-    degs = {pattern.degree(v) for v in range(pattern.n)}
-    if len(degs) == 1:
-        _warn_small_d(pattern.n, degs.pop())
+    try:
+        _warn_small_d(pattern.n, regular_degree(pattern))
+    except ValueError:  # not regular: embed_subdivision reports it
+        pass
     report = embed_subdivision(host, pattern, cfg)
     print(report.summary(), file=sys.stderr)
     if not report.success:

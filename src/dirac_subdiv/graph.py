@@ -1,20 +1,18 @@
-"""Simple undirected graphs on dense integer vertex ids, plus degree queries.
+"""Simple undirected graphs on dense integer vertex ids, degree queries, and
+the edge-list text format.
 
 Vertices are 0..n-1. The only adjacency store is one int bitmask per vertex:
 bit u of row v is set when uv is an edge, so a row costs about n/8 bytes
-whatever the degree. Degrees are popcounts, and neighbour tuples and edge
-lists are read off the set bits in ascending order on request. Graphs are
-immutable after construction and safe to share across threads.
-
-Edges go in as pairs or as an (m, 2) integer array. Construction and
-edge-list I/O are whole-array numpy work: rows are packed from a boolean
-adjacency matrix, and documents are tokenised and built as byte arrays (the
-grammar is under "edge-list text format" below).
+whatever the degree. Degrees are popcounts; neighbour tuples and edge lists
+are read off the set bits in ascending order. Graphs are immutable and safe
+to share across threads. Edge lists are read by an accept-only array pass in
+front of a line reader that states the grammar and names every fault.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -46,7 +44,10 @@ class Graph:
             raise _out_of_range(u[out.argmax()], v[out.argmax()], n)
         if (u == v).any():
             raise ValueError(f"self-loop at vertex {u[(u == v).argmax()]}")
-        masks = [0] * n
+        try:
+            masks = [0] * n
+        except (OverflowError, MemoryError):  # past what a list can hold
+            raise ValueError(f"vertex count {n} is too large") from None
         if len(u):  # one matrix row per vertex with an edge
             touched = np.zeros(n, bool)
             touched[u] = touched[v] = True
@@ -203,16 +204,15 @@ def bipartite_min_degree(g: Graph, a: Iterable[int], b: Iterable[int]) -> int | 
 
 
 # --- edge-list text format ---------------------------------------------------
-# ASCII lines ending in "\n" or "\r"; lines of only spaces and tabs are
-# skipped. Every other line is two tokens -?[0-9]+ split by spaces or tabs:
-# first "N M", then M lines "u v" with 0 <= u < v < N and no pair twice.
-# The writer emits "N M\n", then "u v\n" per edge in lexicographic order.
+# "N M", then M lines "u v" with 0 <= u < v < N and no pair twice; the line
+# reader states the whole grammar, and the array pass hands it every document
+# it does not accept. The writer emits "N M\n", then "u v\n" per edge, sorted.
 
 _CLASS = np.full(256, 3, np.uint8)  # 0 separator, 1 line end, 2 digit, 3 other
 _CLASS[[ord(" "), ord("\t")]] = 0
 _CLASS[[ord("\n"), ord("\r")]] = 1
 _CLASS[ord("0"):ord("9") + 1] = 2
-_CLAMP = 2 ** 62  # cap on ids read from longer tokens, past any vertex count
+_EDGE_LINE = re.compile(r"[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*")
 
 
 def format_edge_list(g: Graph) -> str:
@@ -229,91 +229,66 @@ def format_edge_list(g: Graph) -> str:
     return f"{g.n} {g.edge_count}\n" + lines[lines != 0].tobytes().decode("ascii")
 
 
-def _offsets(mask: np.ndarray) -> np.ndarray:
-    """np.flatnonzero(mask), a block at a time so that offsets of documents
-    under 2 GiB are kept as int32 without a full int64 copy."""
-    kind = np.int32 if len(mask) < 2 ** 31 else np.int64
-    return np.concatenate([np.flatnonzero(mask[i:i + 65536]).astype(kind) + i
-                           for i in range(0, len(mask) + 1, 65536)])
-
-
-def _token_values(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Values of the tokens buf[starts[i]:ends[i]], each -?[0-9]+, capped in
-    magnitude at _CLAMP. Blocks of tokens keep the temporaries small."""
-    values = np.zeros(len(starts), np.int64)
-    for b in range(0, len(starts), 1 << 16):
-        s, e, v = (a[b:b + (1 << 16)] for a in (starts, ends, values))
-        neg = buf[s] == ord("-")
-        at = s + neg  # each token's next digit
-        for _ in range(min(int((e - at).max()), 18)):  # Horner, the block at once
-            live = at < e
-            np.multiply(v, 10, out=v, where=live)
-            v += np.where(live, buf.take(at, mode="clip") - ord("0"), 0)
-            at += 1
-        np.negative(v, out=v, where=neg)
-        for i in np.flatnonzero(e - s - neg > 18).tolist():  # may not fit int64
-            v[i] = max(-_CLAMP, min(int(buf[s[i]:e[i]].tobytes()), _CLAMP))
-    return values
-
-
 def parse_edge_list(text: str) -> Graph:
     """Graph of an edge-list document. A ValueError names the first fault:
     the header, the line count, the first bad edge line (malformed, u >= v
     or an id out of range), or the first repeated pair."""
+    return _array_pass(text) or _read_lines(text)
+
+
+def _array_pass(text: str) -> Graph | None:
+    """Graph of a faultless document of digits, spaces, tabs and line ends, else None."""
+    cls = _CLASS[np.frombuffer(text.encode("ascii", "replace"), np.uint8)]
+    if (cls == 3).any():  # "?" stands in for each non-ASCII character
+        return None
+    digit = cls == 2
+    # a 1 per line end and a 2 per token start, in document order
+    marks = cls[(cls == 1) | (digit & np.diff(digit, prepend=False))]
+    del cls, digit  # free before the values are read: the peak stays low
+    per_line = np.diff(np.flatnonzero(marks == 1), prepend=-1, append=len(marks)) - 1
+    if not ((per_line == 0) | (per_line == 2)).all():  # each line holds 0 or 2 tokens
+        return None
+    values = np.fromstring(text, np.int64, sep=" ")  # [0] for blank text
+    if len(values) < 2 or values.max() == np.iinfo(np.int64).max:  # the overflow value
+        return None
+    n, m = values[:2].tolist()
+    uv = values[2:].reshape(-1, 2)
+    if m != len(uv) or (uv[:, 0] >= uv[:, 1]).any():
+        return None
     try:
-        buf = np.frombuffer(text.encode("ascii"), np.uint8)
-    except UnicodeEncodeError:
-        raise ValueError("edge-list document is not ASCII") from None
-    cls = _CLASS[buf]
-    eol = _offsets(cls == 1)  # line i ends at eol[i], the last one at the end
-    starts, ends = _offsets(np.diff(cls >= 2, prepend=False, append=False)).reshape(-1, 2).T
-    other = np.flatnonzero(cls == 3)
-    del cls
-    per_line = np.diff(np.searchsorted(starts, eol), prepend=0, append=len(starts))
-    lines = _offsets(per_line)  # the lines with tokens
+        g = Graph(n, uv)
+    except ValueError:  # an id out of range, or a vertex count too large to hold
+        return None
+    return g if g.edge_count == m else None
 
-    def line(i: int) -> str:
-        return text[eol[i - 1] + 1 if i else 0:eol[i] if i < len(eol) else None].strip()
 
-    if not len(lines):
+def _read_lines(text: str) -> Graph:
+    """Graph of an edge-list document read a line at a time; see parse_edge_list."""
+    lines = [ln for ln in re.split(r"\r\n|\r|\n", text) if ln.strip(" \t")]
+    if not lines:
         raise ValueError("empty edge-list document")
-    # lines not of two tokens, each digits after at most one leading "-"
-    bad = per_line[lines] != 2
-    del per_line
-    tok = np.searchsorted(starts, other, side="right") - 1
-    stray = other[(buf[other] != ord("-")) | (starts[tok] != other)
-                  | (ends[tok] - other < 2)]
-    bad[np.searchsorted(lines, np.searchsorted(eol, stray))] = True
-    if bad[0]:
-        raise ValueError(f"header must be 'N M', got {line(lines[0])!r}")
-    n, m = (int(text[s:e]) for s, e in zip(starts[:2].tolist(), ends[:2].tolist()))
+    if not _EDGE_LINE.fullmatch(lines[0]):
+        raise ValueError(f"header must be 'N M', got {lines[0].strip()!r}")
+    n, m = map(int, lines[0].split())
     if n < 0 or m < 0:
         raise ValueError("negative counts in header")
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
-    bad = bad[1:]
-    malformed = int(bad.argmax()) if bad.any() else m
-    uv = _token_values(buf, starts[2:2 + 2 * malformed], ends[2:2 + 2 * malformed])
-    uv = uv.reshape(-1, 2)
-    # a line before it with u >= v, or with an id too large to read exactly
-    wrong = (uv[:, 0] >= uv[:, 1]) | (uv[:, 0] <= -_CLAMP) | (uv[:, 1] >= _CLAMP)
-    first = int(wrong.argmax()) if wrong.any() else malformed
-    if first < m:
-        Graph(n, uv[:first])  # an out-of-range id on a line before it
-        bad_line = line(lines[first + 1])
-        if first == malformed:
-            raise ValueError(f"malformed edge line {bad_line!r}")
-        u, v = (int(t) for t in bad_line.split())
+    edges, repeat = {}, None
+    for ln in lines[1:]:
+        if not _EDGE_LINE.fullmatch(ln):
+            raise ValueError(f"malformed edge line {ln.strip()!r}")
+        u, v = map(int, ln.split())
         if u >= v:
             raise ValueError(f"edge {u} {v} violates u < v")
-        raise _out_of_range(u, v, n)
-    g = Graph(n, uv)
-    if g.edge_count != m:
-        _, once = np.unique(uv[:, 0] * n + uv[:, 1], return_index=True)
-        repeat = np.ones(m, bool)
-        repeat[once] = False
-        raise ValueError("duplicate edge {} {}".format(*uv[repeat.argmax()]))
-    return g
+        if u < 0 or v >= n:
+            raise _out_of_range(u, v, n)
+        if (u, v) in edges and not repeat:
+            repeat = (u, v)
+        edges[u, v] = None
+    if repeat:
+        raise ValueError("duplicate edge {} {}".format(*repeat))
+    return Graph(n, list(edges))
 
 
 def write_edge_list(g: Graph, path: str | os.PathLike) -> None:

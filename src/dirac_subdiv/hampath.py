@@ -112,12 +112,11 @@ def _exact_path(g: Graph, x: int, y: int) -> list[int] | None:
 
 
 def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
-                          seed: int = 0, exact_threshold: int = EXACT_THRESHOLD,
-                          return_stats: bool = False):
+                          seed: int = 0, return_stats: bool = False):
     """Hamilton x,y-path of g, or None if there is none (or none was found).
 
     Runs up to `budget` seeded rotation-extension restarts, then falls back
-    to the exact subset DP when the graph has at most exact_threshold
+    to the exact subset DP when the graph has at most EXACT_THRESHOLD
     vertices. Within that size the answer is definitive: None means no
     Hamilton x,y-path exists. Above it, None only means the heuristic
     failed. The search never requires a degree condition; dense inputs are
@@ -135,7 +134,7 @@ def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
         path = _rotation_restart(g, x, y, rng)
         if path is not None:
             break
-    if path is None and g.n <= exact_threshold:
+    if path is None and g.n <= EXACT_THRESHOLD:
         stats["exact"] = True
         path = _exact_path(g, x, y)
     return (path, stats) if return_stats else path

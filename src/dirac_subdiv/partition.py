@@ -338,7 +338,7 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
         if viol is not None:
             raise PartitionError(
                 f"single-block degree event failed: {viol}",
-                attempts=1, level=0, violation=viol)
+                attempts=0, level=0, violation=viol)
         return BlockPartition(center, tuple(connectors), (pool,), 0)
 
     def span_size(iv: range) -> int:

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from dirac_subdiv import (SubdivisionCertificate, certificate_to_json,
-                          complete_graph, format_edge_list, min_degree,
-                          parse_edge_list, read_certificate, read_edge_list,
-                          verify_certificate, write_edge_list)
+from dirac_subdiv import (SubdivisionCertificate, certificate_from_json,
+                          certificate_to_json, complete_graph, format_edge_list,
+                          min_degree, parse_edge_list, read_certificate,
+                          read_edge_list, verify_certificate, write_edge_list)
 from dirac_subdiv.cli import SweepSpec, main, run_sweep
 
 
@@ -148,6 +148,26 @@ class TestEmbedVerify:
                    "--cert", str(cert)])
         assert rc == 2
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [10 ** 20, 2 ** 62])
+    def test_huge_vertex_count_usage_error(self, tmp_path, capsys, n):
+        pattern = complete_graph(2)
+        host = write_instance(tmp_path, "host.txt", complete_graph(4))
+        patt = write_instance(tmp_path, "patt.txt", pattern)
+        good = SubdivisionCertificate(4, pattern, (0, 3), {(0, 1): (0, 1, 2, 3)})
+        cert = tmp_path / "cert.json"
+        cert.write_text(certificate_to_json(good))
+        huge = tmp_path / "huge.txt"
+        huge.write_text(f"{n} 0\n")
+        huge_cert = tmp_path / "huge.json"
+        doc = {**json.loads(certificate_to_json(good)), "pattern_vertex_count": n}
+        huge_cert.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="too large"):
+            certificate_from_json(huge_cert.read_text())
+        for argv in (["--host", str(huge), "--pattern", patt, "--cert", str(cert)],
+                     ["--host", host, "--pattern", patt, "--cert", str(huge_cert)]):
+            assert main(["verify", *argv]) == 2
+            assert f"error: vertex count {n} is too large" in capsys.readouterr().err
 
     def test_missing_file_usage_error(self, tmp_path, capsys):
         patt = write_instance(tmp_path, "patt.txt", complete_graph(3))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dirac_subdiv import (Graph, HostSpec, format_edge_list, gen_dirac_host,
-                          parse_edge_list)
+                          graph, parse_edge_list)
 
 
 def reference_parse(text: str) -> Graph:
@@ -151,6 +151,29 @@ class TestFormat:
         g = Graph(n, np.column_stack((iu[keep], iv[keep])))
         text = format_edge_list(g)
         assert text == reference_format(g)
+        assert parse_edge_list(text) == g
+
+
+class TestArrayPass:
+    """Ordinary documents never reach the line reader, which is only the
+    slow path for faults and rare forms such as a "-0" id."""
+
+    @pytest.fixture(autouse=True)
+    def no_line_reader(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("document left the array pass")
+        monkeypatch.setattr(graph, "_read_lines", refuse)
+
+    @pytest.mark.parametrize("n, d", [(4, 3), (8, 3), (10, 4)])
+    def test_cli_pipeline_hosts(self, n, d):
+        g = gen_dirac_host(HostSpec(n, d, 12, 0.25, seed=5))
+        assert parse_edge_list(format_edge_list(g)) == g
+
+    def test_line_ends_tabs_blanks_and_padding(self):
+        g = gen_dirac_host(HostSpec(4, 3, 12, 0.25, seed=5))
+        lines = ["\t".join(t.zfill(25) for t in ln.split())
+                 for ln in format_edge_list(g).splitlines()]
+        text = "\r\n\r\n".join(lines[:3]) + " \t\n\r" + "\r\n".join(lines[3:])
         assert parse_edge_list(text) == g
 
 

@@ -221,6 +221,15 @@ class TestEdgeListFormat:
         text = "0003 2\r\n\n 000 0000000000000000000000001\t\r1 000000000000000002"
         assert parse_edge_list(text) == Graph(3, [(0, 1), (1, 2)])
 
+    @pytest.mark.parametrize("n", [10 ** 20, 2 ** 62])
+    def test_huge_vertex_count_is_value_error(self, n):
+        # CPython refuses a list this long before allocating anything
+        for build in (lambda: Graph(n), lambda: Graph(n, [(0, 1)])):
+            with pytest.raises(ValueError, match=f"^vertex count {n} is too large$"):
+                build()
+        with pytest.raises(ValueError, match=f"^vertex count {n} is too large$"):
+            parse_edge_list(f"{n} 0\n")
+
     def test_dot_export(self):
         g = path_graph(3)
         dot = to_dot(g)

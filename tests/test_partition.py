@@ -245,6 +245,22 @@ class TestBlockPartition:
             assert 1 + d + sum(len(b) for b in bp.blocks) == C * d
             assert 1 + d + (d - 1) * (C - 1) + (C - 2) == C * d
 
+    def test_d1_counts_no_draw(self):
+        # d = 1 takes the whole pool as its block without a random draw, so
+        # both outcomes report 0 attempts. The failing pool {2,3,4,5} is a
+        # 4-cycle: min degree 2 < 0.4*C = 2.4.
+        pool_matching = [(2, 3), (4, 5)]
+        g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                      if (u, v) not in pool_matching])
+        with pytest.raises(PartitionError) as exc:
+            block_partition(g, range(6), center=0, connectors=[1],
+                            alpha=0.5, delta=0.1)
+        assert exc.value.attempts == 0
+        assert exc.value.violation[0] == "block-min-degree"
+        bp = block_partition(complete_graph(6), range(6), center=0,
+                             connectors=[1], alpha=0.5, delta=0.1)
+        assert bp.attempts == 0
+
     def test_level_budget_exhaustion(self):
         # complete bipartite group: no size-10 block can have min degree
         # 0.49*12 inside itself, since that would need 6 vertices of each
