@@ -194,7 +194,11 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
 
     Stage thresholds follow the proof chain: the whole-host partition is
     checked at (1+eps)/2 minus eps/2, and the per-group block partitions at
-    that value minus eps/4. Raises PartitionError or TemplateError when a
+    that value minus eps/4. The block stage also checks every finished
+    block, branch vertex and connector included, at Ore's bound
+    (|block|+1)/2, so a block that would fail check_template's
+    block-min-degree is re-drawn at its own bisection level instead of
+    failing the whole attempt. Raises PartitionError or TemplateError when a
     randomized stage exhausts its budget or a check fails, and ValueError
     when the inputs are structurally unsuitable or the host misses the
     degree bound (the latter checked by good_partition).

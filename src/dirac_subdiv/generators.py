@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError
-from .graph import Graph, min_degree
+from .graph import Graph, min_degree, pack_rows
 from .rng import make_rng, spawn_seed
 
 DIRAC_HOST_ATTEMPTS = 50
@@ -76,8 +76,16 @@ def gen_two_clique_extremal(half: int) -> Graph:
 
 
 def _sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
-    pairs = np.column_stack(np.triu_indices(n, k=1))
-    return Graph(n, pairs[rng.random(len(pairs)) < p])
+    # One uniform per pair u < v in row-major order, drawn a block of rows at
+    # a time straight into the adjacency matrix: the same stream as a single
+    # rng.random call, without an array of every pair.
+    adj = np.zeros((n, n), bool)
+    rows = max(1, (1 << 18) // max(n, 1))  # about 2^18 cells a block
+    for a in range(0, n, rows):
+        upper = np.arange(n) > np.arange(a, min(a + rows, n))[:, None]
+        adj[a:a + rows][upper] = rng.random(int(upper.sum())) < p
+    adj |= adj.T
+    return Graph._from_rows(pack_rows(adj))
 
 
 def gen_dirac_host(spec: HostSpec) -> Graph:

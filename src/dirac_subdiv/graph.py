@@ -54,9 +54,8 @@ class Graph:
             slot = np.cumsum(touched) - 1
             adj = np.zeros((int(slot[-1]) + 1, n), bool)
             adj[slot[u], v] = adj[slot[v], u] = True
-            packed = np.packbits(adj, axis=1, bitorder="little")
-            for i, row in zip(np.flatnonzero(touched).tolist(), packed):
-                masks[i] = int.from_bytes(row, "little")
+            for i, row in zip(np.flatnonzero(touched).tolist(), pack_rows(adj)):
+                masks[i] = row
         self._store(masks)
 
     @classmethod
@@ -123,6 +122,12 @@ class Graph:
 
 def _out_of_range(u: int, v: int, n: int) -> ValueError:
     return ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+
+
+def pack_rows(adj: np.ndarray) -> list[int]:
+    """One int bitmask per row of a boolean matrix: bit j of row i is adj[i, j]."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -297,7 +302,8 @@ def write_edge_list(g: Graph, path: str | os.PathLike) -> None:
 
 
 def read_edge_list(path: str | os.PathLike) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte decodes to U+FFFD, so the line reader names its line
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         return parse_edge_list(fh.read())
 
 

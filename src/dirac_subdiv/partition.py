@@ -5,7 +5,10 @@ group per pattern vertex, accepted only if every group and every
 pattern-edge group pair induces large minimum degree. Second, inside one
 group, a recursive random bisection guided by a balanced interval tree that
 carves out one block per connector while preserving degree margins for the
-group's center vertex, its connectors, and every block vertex.
+group's center vertex, its connectors, and every block vertex. A finished
+block is accepted only when, with the center and its connector added, it
+meets Ore's bound min degree >= (|B|+1)/2, so every block the second stage
+returns passes the template's block-degree check.
 
 Both stages are Las Vegas: a candidate partition is checked against the
 required degree thresholds and re-randomized on failure (whole-partition
@@ -250,8 +253,10 @@ def _block_events_violation(g: Graph, center: int, connectors, entries,
 
     entries is a list of (interval, vertex_tuple). For an internal interval
     the thresholds scale with the set size; for a singleton (a finished
-    block) the induced-min-degree event is checked against threshold*C,
-    which is what downstream consumers rely on.
+    block) the induced-min-degree event is checked against threshold*C.
+    A finished block must also meet Ore's bound once its center and
+    connector join it: every vertex of that set B has at least (|B|+1)/2
+    neighbours in B, the bound check_template and the Hamilton stage need.
     """
     for iv, vs in entries:
         m = mask_of(vs)
@@ -271,6 +276,14 @@ def _block_events_violation(g: Graph, center: int, connectors, entries,
             have = (g.neighbor_mask(connectors[ell]) & m).bit_count()
             if have < need:
                 return ("connector-degree", connectors[ell], tuple(iv), have, need)
+        if final:
+            conn = connectors[iv.start]
+            b = m | 1 << center | 1 << conn
+            need_ore = (size + 3) / 2  # (|B|+1)/2 with |B| = size + 2
+            for v in (*vs, center, conn):
+                have = (g.neighbor_mask(v) & b).bit_count()
+                if have < need_ore:
+                    return ("block-ore-degree", v, tuple(iv), have, need_ore)
     return None
 
 
@@ -289,7 +302,11 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     A level is accepted only if every freshly split set S keeps, at
     threshold tau = alpha - delta: induced min degree >= tau*|S| (>= tau*C
     once S is a finished block), degree of the center into S >= tau*|S|, and
-    degree of each connector indexed inside S's interval >= tau*|S|. Failing
+    degree of each connector indexed inside S's interval >= tau*|S|. A
+    finished block must also meet Ore's bound with its center and connector
+    added: B = S + {center, connector} has min degree >= (|B|+1)/2, the
+    block-min-degree check of check_template, labelled "block-ore-degree"
+    when it fails. A block that misses it is re-drawn at its level. Failing
     levels are re-randomized up to level_budget times; exhaustion raises
     PartitionError naming the level and failed event, whose attempts count
     every level draw of the call (accepted levels included). Requires the

@@ -191,6 +191,15 @@ class TestEmbedVerify:
         assert rc == 2
         assert f"error: {info.value}" in capsys.readouterr().err
 
+    def test_non_ascii_host_names_the_line(self, tmp_path, capsys):
+        host = tmp_path / "host.txt"
+        host.write_bytes("3 1\n0 1\u00e9\n".encode("utf-8"))
+        patt = write_instance(tmp_path, "patt.txt", complete_graph(3))
+        rc = main(["embed", "--host", str(host), "--pattern", patt,
+                   "--epsilon", "0.3"])
+        assert rc == 2
+        assert "malformed edge line" in capsys.readouterr().err
+
     def test_unknown_subcommand_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dirac_subdiv import (GenerationError, Graph, HostSpec, complete_graph,
                           format_edge_list, gen_dirac_host, gen_random_regular,
                           gen_two_clique_extremal, min_degree)
-from dirac_subdiv.generators import _pairing_attempt, dirac_degree_bound
+from dirac_subdiv.generators import (_pairing_attempt, _sample_gnp,
+                                     dirac_degree_bound)
 from dirac_subdiv.rng import make_rng
 
 
@@ -136,6 +139,33 @@ class TestDiracHost:
         a = gen_dirac_host(spec)
         b = gen_dirac_host(spec)
         assert format_edge_list(a) == format_edge_list(b)
+
+
+class TestSampleGnp:
+    @staticmethod
+    def whole_array(n, p, rng):
+        # every pair u < v and its uniform at once, in row-major order
+        pairs = np.column_stack(np.triu_indices(n, k=1))
+        return Graph(n, pairs[rng.random(len(pairs)) < p])
+
+    @pytest.mark.parametrize("n, p", [(1, .5), (2, .5), (5, .3), (257, .77),
+                                      (1536, .8), (600, 1.0)])
+    def test_matches_whole_array_sampler(self, n, p):
+        for seed in range(2):
+            got = _sample_gnp(n, p, make_rng(seed))
+            want = self.whole_array(n, p, make_rng(seed))
+            assert got == want and got.edge_count == want.edge_count
+
+    def test_memory_grows_with_the_matrix_not_the_pairs(self):
+        # the boolean matrix is N^2 bytes (2.25 MiB at N=1536); an index pair
+        # and a uniform per vertex pair would be about 37 bytes per pair
+        tracemalloc.start()
+        try:
+            _sample_gnp(1536, 0.75, make_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
 
 def test_generation_error_carries_attempts():

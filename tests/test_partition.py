@@ -308,3 +308,51 @@ class TestBlockPartition:
         low = gen_two_clique_extremal(8)
         with pytest.raises(ValueError):  # group min degree below alpha
             block_partition(low, range(16), 0, [1, 8], alpha=0.6, delta=0.1)
+
+
+def ore_bound_holds(g, bp):
+    """Every block with its center and connector added, as build_template
+    assembles it, has min degree >= (|B|+1)/2."""
+    for i, blk in enumerate(bp.blocks):
+        b = set(blk) | {bp.center, bp.connectors[i]}
+        for v in b:
+            if degree_into(g, v, b) < (len(b) + 1) / 2:
+                return False
+    return True
+
+
+class TestBlockOreBound:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_returned_blocks_meet_ore_bound(self, d):
+        # G(N, p) groups at the group's own min-degree ratio, with and without
+        # extras; d = 3 and 5 carry a singleton through the final level
+        C = 12
+        returned = 0
+        for extras in sorted({0, d - 1}):
+            for seed in range(6):
+                N = C * d + extras
+                g = random_gnp(N, 0.8, random.Random(1000 * d + 97 * extras + seed))
+                alpha = min_degree(g) / N
+                try:
+                    bp = block_partition(g, range(N), 0, list(range(1, d + 1)),
+                                         alpha=alpha, delta=0.2, seed=seed,
+                                         extras=extras)
+                except PartitionError:
+                    continue
+                returned += 1
+                assert ore_bound_holds(g, bp)
+                assert block_postconditions_hold(g, range(N), bp, alpha, 0.2, C)
+        assert returned >= 3
+
+    def test_ore_miss_has_its_own_label(self):
+        # d = 1, C = 10, tau = 0.4: the pool {2..9} is a clique (degree 7 >=
+        # tau*C = 4) and the center sees 4 >= tau*8 of it, so every tau event
+        # holds; but with the connector the center has degree 5 in the
+        # 10-vertex block, below (10+1)/2
+        edges = [(u, v) for u in range(1, 10) for v in range(u + 1, 10)]
+        edges += [(0, v) for v in (1, 2, 3, 4, 5)]
+        g = Graph(10, edges)
+        with pytest.raises(PartitionError) as exc:
+            block_partition(g, range(10), center=0, connectors=[1],
+                            alpha=0.5, delta=0.1)
+        assert exc.value.violation == ("block-ore-degree", 0, (0,), 5, 5.5)
