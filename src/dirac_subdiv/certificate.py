@@ -46,25 +46,37 @@ def certificate_to_json(cert: SubdivisionCertificate) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
+def _typed(value, kind: type):
+    """value if its JSON type is kind (int or list), else ValueError: a bool,
+    float or string is never coerced, nor a string read as a list."""
+    if type(value) is not kind:
+        raise ValueError(f"certificate value {value!r} is not a JSON {kind.__name__}")
+    return value
+
+
+def _ints(value) -> list[int]:
+    return [_typed(v, int) for v in _typed(value, list)]
+
+
 def certificate_from_json(text: str) -> SubdivisionCertificate:
     """Parse a certificate document. Any malformed document, including a
-    missing field or a value of the wrong type, raises ValueError."""
+    missing field or a value of the wrong JSON type, raises ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ValueError("not a subdivision certificate document")
-    if doc.get("version") != FORMAT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported certificate version {doc.get('version')}")
     try:
-        pattern = Graph(int(doc["pattern_vertex_count"]),
-                        [(int(u), int(v)) for u, v in doc["pattern_edges"]])
+        pattern = Graph(_typed(doc["pattern_vertex_count"], int),
+                        [_ints(e) for e in _typed(doc["pattern_edges"], list)])
         edge_paths = {}
-        for entry in doc["edge_paths"]:
-            i, j = (int(t) for t in entry["edge"])
-            edge_paths[(i, j)] = tuple(int(v) for v in entry["vertices"])
+        for entry in _typed(doc["edge_paths"], list):
+            i, j = _ints(entry["edge"])
+            edge_paths[(i, j)] = tuple(_ints(entry["vertices"]))
         return SubdivisionCertificate(
-            host_vertex_count=int(doc["host_vertex_count"]),
+            host_vertex_count=_typed(doc["host_vertex_count"], int),
             pattern=pattern,
-            branch_map=tuple(int(v) for v in doc["branch_map"]),
+            branch_map=tuple(_ints(doc["branch_map"])),
             edge_paths=edge_paths,
         )
     except KeyError as e:

@@ -11,6 +11,8 @@ reported; a success report never carries an unverified certificate.
 
 Randomness is Las Vegas throughout: every stage checks its own output and
 the whole pipeline retries with a fresh derived seed when any stage fails.
+Only the template is random. Every block meets Ore's bound, so the Hamilton
+stage builds its paths deterministically and draws no seed.
 """
 
 from __future__ import annotations
@@ -416,8 +418,7 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
                 inv = sorted(blk)
                 local, stats = hamilton_path_between(
                     sub, index[template.branch[i]],
-                    index[template.connectors[(i, j)]],
-                    seed=spawn_seed(seed_a, 0x12, i, j), return_stats=True)
+                    index[template.connectors[(i, j)]], return_stats=True)
                 attempts["hampath_calls"] += 1
                 attempts["hampath_restarts"] += stats["restarts"]
                 if local is None:

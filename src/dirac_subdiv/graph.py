@@ -130,6 +130,13 @@ def pack_rows(adj: np.ndarray) -> list[int]:
     return [int.from_bytes(row, "little") for row in packed]
 
 
+def _unpack_rows(g: Graph, vs) -> np.ndarray:
+    """0/1 matrix of the rows of the vertices vs, one column per vertex of g."""
+    width = (g.n + 7) // 8
+    rows = np.frombuffer(b"".join(g._masks[v].to_bytes(width, "little") for v in vs), np.uint8)
+    return np.unpackbits(rows.reshape(len(vs), width), axis=1, count=g.n, bitorder="little")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask of a vertex set."""
     m = 0
@@ -169,9 +176,7 @@ def induced(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     if vs and not (0 <= vs[0] and vs[-1] < g.n):
         raise ValueError("member set contains out-of-range vertices")
     index = {v: i for i, v in enumerate(vs)}
-    mask = mask_of(vs)
-    rows = [mask_of(index[u] for u in bits(g.neighbor_mask(v) & mask)) for v in vs]
-    return Graph._from_rows(rows), index
+    return Graph._from_rows(pack_rows(_unpack_rows(g, vs)[:, vs])), index
 
 
 def min_degree(g: Graph) -> int | None:
@@ -221,10 +226,7 @@ _EDGE_LINE = re.compile(r"[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*")
 
 
 def format_edge_list(g: Graph) -> str:
-    width = (g.n + 7) // 8
-    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g._masks), np.uint8)
-    adj = np.unpackbits(rows.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
-    u, v = np.nonzero(np.triu(adj, 1))
+    u, v = np.nonzero(np.triu(_unpack_rows(g, range(g.n)), 1))
     w = len(str(max(g.n - 1, 0)))
     # each id's digits, NUL-padded to the widest id; the NULs are dropped below
     digits = np.arange(g.n).astype(f"S{w}").view(np.uint8).reshape(-1, w)

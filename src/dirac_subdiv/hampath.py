@@ -1,17 +1,20 @@
 """Hamilton x,y-paths in dense graphs.
 
-The workhorse is rotation-extension with random restarts: grow a path from
-the fixed endpoint x by random greedy extension, and when stuck, rotate the
-free endpoint along chords the way dense-graph Hamiltonicity arguments do,
-holding the target y in reserve until only it remains. On graphs whose
-minimum degree is at least (|V|+1)/2 the path always exists, and the exact
-subset dynamic program below guarantees we find it (or certify absence)
-whenever the graph is small enough for that fallback.
+On graphs whose minimum degree is at least (|V|+1)/2 (Ore's bound, which
+every block of an embedding template meets) the path always exists, and it
+is built deterministically by Ore's proof read as an algorithm: close the
+gaps of one fixed vertex cycle by segment reversals (Palmer 1997). Every
+other graph gets rotation-extension with seeded random restarts: grow a
+path from the fixed endpoint x by random greedy extension, and when stuck,
+rotate the free endpoint along chords, holding the target y in reserve
+until only it remains. The exact subset dynamic program below settles
+(finds or certifies absent) what the restarts miss whenever the graph is
+small enough for it.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import Graph, bits, min_degree
 from .rng import make_rng, spawn_seed
 
 EXACT_THRESHOLD = 20
@@ -34,6 +37,31 @@ def _check_endpoints(g: Graph, x: int, y: int) -> None:
         raise ValueError("endpoints must be distinct")
     if g.n < 2:
         raise ValueError("need at least two vertices")
+
+
+def _ore_path(g: Graph, x: int, y: int) -> list[int]:
+    """Hamilton x,y-path of a graph with 2 * min degree >= n + 1.
+
+    The cycle c is x, the other vertices ascending, y, closed by a virtual
+    edge yx. At the first pair (c[i], c[i+1]) that is not an edge, a j in
+    [0, n-2] with c[i] ~ c[j] and c[i+1] ~ c[j+1] exists: at least
+    deg c[i] - 1 indices j qualify for the first condition and
+    deg c[i+1] - 1 for the second, neither set holds i, and the two sizes
+    sum past n - 2. Reversing the segment between the two pairs, for the
+    smallest such j, makes both edges and keeps every earlier pair an edge,
+    so one left-to-right pass closes every gap. j < n - 1, so x and y never
+    move.
+    """
+    rows = [g.neighbor_mask(v) for v in range(g.n)]
+    c = [x, *(v for v in range(g.n) if v != x and v != y), y]
+    for i in range(g.n - 1):
+        a, b = rows[c[i]], rows[c[i + 1]]
+        if a >> c[i + 1] & 1:
+            continue
+        j = next(j for j in range(g.n - 1) if a >> c[j] & 1 and b >> c[j + 1] & 1)
+        lo, hi = (i + 1, j + 1) if j > i else (j + 1, i + 1)
+        c[lo:hi] = reversed(c[lo:hi])
+    return c
 
 
 def _rotation_restart(g: Graph, x: int, y: int, rng) -> list[int] | None:
@@ -115,18 +143,22 @@ def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
                           seed: int = 0, return_stats: bool = False):
     """Hamilton x,y-path of g, or None if there is none (or none was found).
 
-    Runs up to `budget` seeded rotation-extension restarts, then falls back
-    to the exact subset DP when the graph has at most EXACT_THRESHOLD
-    vertices. Within that size the answer is definitive: None means no
-    Hamilton x,y-path exists. Above it, None only means the heuristic
-    failed. The search never requires a degree condition; dense inputs are
-    simply where it is fast.
+    When 2 * min degree >= n + 1 (Ore's bound) the path exists and is built
+    deterministically by gap closing; no seed is drawn, budget and seed are
+    unused, and the stats read no restarts. Any other graph gets up to
+    `budget` seeded rotation-extension restarts, then the exact subset DP
+    when it has at most EXACT_THRESHOLD vertices. Within that size the
+    answer is definitive: None means no Hamilton x,y-path exists. Above it,
+    None only means the heuristic failed.
 
     With return_stats=True returns (path, stats) where stats reports the
     restarts consumed and whether the exact fallback ran.
     """
     _check_endpoints(g, x, y)
     stats = {"restarts": 0, "exact": False}
+    if 2 * min_degree(g) >= g.n + 1:
+        path = _ore_path(g, x, y)
+        return (path, stats) if return_stats else path
     path = None
     for attempt in range(1, budget + 1):
         stats["restarts"] = attempt

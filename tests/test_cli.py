@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dirac_subdiv import (SubdivisionCertificate, certificate_from_json,
+from dirac_subdiv import (Graph, SubdivisionCertificate, certificate_from_json,
                           certificate_to_json, complete_graph, format_edge_list,
                           min_degree, parse_edge_list, read_certificate,
                           read_edge_list, verify_certificate, write_edge_list)
@@ -149,6 +150,46 @@ class TestEmbedVerify:
         assert rc == 2
         assert "error: " in capsys.readouterr().err
 
+    # each of these verified (or failed verification) before: the parser
+    # coerced the value instead of rejecting it
+    @pytest.mark.parametrize("field, value", [
+        ("pattern_edges", ["01", "02", "12"]),
+        ("pattern_edges", [[0, 1], [0, 2], [1, 2.0]]),
+        ("pattern_vertex_count", "3"),
+        ("host_vertex_count", 6.9),
+        ("host_vertex_count", True),
+        ("branch_map", "012"),
+        ("branch_map", [0, 1, False]),
+        ("edge_paths", [{"edge": "01", "vertices": [0, 3, 1]},
+                        {"edge": [0, 2], "vertices": [0, 4, 2]},
+                        {"edge": [1, 2], "vertices": [1, 5, 2]}]),
+        ("edge_paths", [{"edge": [0, 1], "vertices": "031"},
+                        {"edge": [0, 2], "vertices": [0, 4, 2]},
+                        {"edge": [1, 2], "vertices": [1, 5, 2]}]),
+        ("version", True),
+    ], ids=["edge-strings", "edge-float", "count-string", "host-float",
+            "host-bool", "branch-string", "branch-bool", "edge-string",
+            "vertices-string", "version-bool"])
+    def test_wrong_json_type_usage_error(self, tmp_path, capsys, field, value):
+        pattern = complete_graph(3)
+        host = write_instance(tmp_path, "host.txt", complete_graph(6))
+        patt = write_instance(tmp_path, "patt.txt", pattern)
+        good = SubdivisionCertificate(
+            6, pattern, (0, 1, 2), {(0, 1): (0, 3, 1), (0, 2): (0, 4, 2),
+                                    (1, 2): (1, 5, 2)})
+        cert = tmp_path / "cert.json"
+        cert.write_text(certificate_to_json(good))
+        argv = ["verify", "--host", host, "--pattern", patt, "--cert", str(cert),
+                "--spanning"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        cert.write_text(json.dumps({**json.loads(certificate_to_json(good)),
+                                    field: value}))
+        with pytest.raises(ValueError):
+            certificate_from_json(cert.read_text())
+        assert main(argv) == 2
+        assert "error: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", [10 ** 20, 2 ** 62])
     def test_huge_vertex_count_usage_error(self, tmp_path, capsys, n):
         pattern = complete_graph(2)
@@ -278,3 +319,24 @@ def test_python_m_entry_point():
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0
     assert "embed" in done.stdout
+
+
+@st.composite
+def certificates(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    ids = st.integers(0, 2 ** 70)
+    return SubdivisionCertificate(
+        host_vertex_count=draw(ids),
+        pattern=Graph(n, edges),
+        branch_map=tuple(draw(st.lists(ids, max_size=n))),
+        edge_paths={e: tuple(draw(st.lists(ids, max_size=6))) for e in edges})
+
+
+@settings(max_examples=80, deadline=None)
+@given(certificates())
+def test_written_certificates_round_trip(cert):
+    text = certificate_to_json(cert)
+    assert certificate_from_json(text) == cert
+    assert certificate_to_json(certificate_from_json(text)) == text

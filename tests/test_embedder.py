@@ -1,6 +1,6 @@
 import pytest
 
-from dirac_subdiv import embedder, partition
+from dirac_subdiv import embedder, hampath, partition
 from dirac_subdiv import (EmbedConfig, Graph,
                           Template, build_template, certificate_from_json,
                           certificate_to_json, check_template, complete_graph,
@@ -263,6 +263,42 @@ class TestEmbedSubdivision:
             r = embed_subdivision(host, h, EmbedConfig(epsilon=0.25, seed=seed))
             assert r.success
             assert not [f for f in r.failures if f.split(": ")[1] == "template"]
+
+
+class TestHamiltonStage:
+    """Every block meets Ore's bound, so the Hamilton stage builds its
+    paths by gap closing: no seed, no restart, no exact DP."""
+
+    def test_no_seed_after_the_template(self, monkeypatch):
+        tags = []
+
+        def spy(module):
+            real = module.spawn_seed
+
+            def derive(*parts):
+                tags.append(parts[1])
+                return real(*parts)
+            monkeypatch.setattr(module, "spawn_seed", derive)
+
+        spy(embedder)
+        spy(hampath)
+        host = gen_dirac_host(HostSpec(8, 3, 12, 0.25, seed=4))
+        r = embed_subdivision(host, gen_random_regular(8, 3, seed=4),
+                              EmbedConfig(epsilon=0.25, seed=4))
+        assert r.success and r.stage_attempts["hampath_calls"] == 8 * 3
+        assert r.stage_attempts["hampath_restarts"] == 0
+        assert 0x01 in tags and 0x11 not in tags and 0x12 not in tags
+
+    def test_blocks_past_the_exact_threshold(self, monkeypatch):
+        # K3 on K384: C = 64, so every block has 65 vertices
+        def no_dp(*args):
+            raise AssertionError("exact DP engaged")
+
+        monkeypatch.setattr(hampath, "_exact_path", no_dp)
+        r = embed_subdivision(complete_graph(384), complete_graph(3),
+                              EmbedConfig(epsilon=0.5, seed=1))
+        assert r.success and r.C == 64 > hampath.EXACT_THRESHOLD
+        assert r.stage_attempts["hampath_restarts"] == 0
 
 
 class TestCertificateSerialization:

@@ -112,6 +112,39 @@ class TestInduced:
         assert all(mapping[v] == v for v in range(6))
 
 
+def induced_reference(g, members):
+    """The induced subgraph built pair by pair from a set, for comparison."""
+    vs = sorted(set(members))
+    index = {v: i for i, v in enumerate(vs)}
+    return Graph(len(vs), [(index[u], index[v]) for u, v in g.edges()
+                           if u in index and v in index]), index
+
+
+class TestInducedArrayBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(min_n=1, max_n=90), st.data())
+    def test_matches_set_built_reference(self, g, data):
+        members = data.draw(st.one_of(
+            st.just([]),
+            st.integers(0, g.n - 1).map(lambda v: [v]),
+            st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)))
+        sub, index = induced(g, members)
+        want, want_index = induced_reference(g, members)
+        assert sub == want and index == want_index
+
+    def test_dense_rows_past_one_machine_word(self):
+        g = complete_graph(130)
+        members = [129, 0, 64, 63, 65, 129, 7]
+        sub, index = induced(g, members)
+        assert (sub, index) == induced_reference(g, members)
+        assert sub == complete_graph(6)
+
+    @pytest.mark.parametrize("members", [[0, 70], [-1, 3], [3, 70, 3]])
+    def test_out_of_range_member_rejected(self, members):
+        with pytest.raises(ValueError):
+            induced(complete_graph(70), members)
+
+
 class TestMinDegree:
     def test_complete(self):
         assert min_degree(complete_graph(4)) == 3

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirac_subdiv import (Graph, brute_force_hamilton_path, complete_graph,
-                          hamilton_path_between, min_degree)
+                          hamilton_path_between, hampath, min_degree)
 from dirac_subdiv.hampath import is_simple_path
 from dirac_subdiv.rng import make_rng, spawn_seed
 
@@ -125,9 +126,15 @@ class TestDeterminism:
         assert a == b
 
     def test_stats_reporting(self):
+        # K6 meets Ore's bound: the gap-closing path draws no restart
         g = complete_graph(6)
         p, stats = hamilton_path_between(g, 0, 5, seed=1, return_stats=True)
         assert is_hamilton_xy_path(g, p, 0, 5)
+        assert stats == {"restarts": 0, "exact": False}
+        # C5 misses it (2 * 2 < 5 + 1), so the rotation restarts run
+        g = cycle_graph(5)
+        p, stats = hamilton_path_between(g, 0, 1, seed=1, return_stats=True)
+        assert is_hamilton_xy_path(g, p, 0, 1)
         assert stats["restarts"] >= 1 and stats["exact"] is False
 
     def test_exact_fallback_engages(self):
@@ -139,3 +146,67 @@ class TestDeterminism:
         p, stats = hamilton_path_between(g, 0, 8, budget=1, seed=0,
                                          return_stats=True)
         assert is_hamilton_xy_path(g, p, 0, 8)
+
+
+@st.composite
+def ore_graphs(draw, min_n=3, max_n=40):
+    """K_n less a drawn set of edges, skipping any removal that would take
+    an end below Ore's bound (n + 1) / 2."""
+    n = draw(st.integers(min_n, max_n))
+    need = (n + 2) // 2
+    drop = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=n * n // 4))
+    deg, miss = [n - 1] * n, set()
+    for u, v in drop:
+        e = (min(u, v), max(u, v))
+        if u != v and e not in miss and deg[u] > need and deg[v] > need:
+            miss.add(e)
+            deg[u] -= 1
+            deg[v] -= 1
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if (u, v) not in miss])
+
+
+class TestOrePath:
+    """On graphs meeting Ore's bound the path is built by gap closing: no
+    seed is drawn and no restart is counted."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ore_graphs(), st.data())
+    def test_every_ore_graph_gets_a_path_without_a_seed(self, g, data):
+        assert 2 * min_degree(g) >= g.n + 1
+        x = data.draw(st.integers(0, g.n - 1))
+        y = data.draw(st.integers(0, g.n - 1).filter(lambda v: v != x))
+        seeds = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hampath, "spawn_seed", lambda *parts: seeds.append(parts))
+            p, stats = hamilton_path_between(g, x, y, seed=7, return_stats=True)
+        assert is_hamilton_xy_path(g, p, x, y)
+        assert stats == {"restarts": 0, "exact": False} and seeds == []
+
+    def test_forty_vertices_inner_endpoints(self):
+        # n past 32 for certain, and x, y away from the ends of the id order
+        g = complete_minus(40, {(v, (v + 1) % 40) for v in range(40)})
+        assert 2 * min_degree(g) >= 41
+        p, stats = hamilton_path_between(g, 17, 3, return_stats=True)
+        assert is_hamilton_xy_path(g, p, 17, 3) and stats["restarts"] == 0
+
+    def test_agrees_with_brute_force_on_every_pair(self):
+        rng = make_rng(spawn_seed(2024, 2))
+        graphs = 0
+        while graphs < 60:
+            n = int(rng.integers(3, 13))
+            g = random_gnp(n, 0.55 + 0.45 * rng.random(), rng)
+            if 2 * min_degree(g) < n + 1:
+                continue
+            graphs += 1
+            for x in range(n):
+                for y in range(n):
+                    if x == y:
+                        continue
+                    assert is_hamilton_xy_path(g, brute_force_hamilton_path(g, x, y), x, y)
+                    p, stats = hamilton_path_between(g, x, y, seed=1, return_stats=True)
+                    assert is_hamilton_xy_path(g, p, x, y)
+                    assert stats["restarts"] == 0
+                    # deterministic: the seed plays no part
+                    assert hamilton_path_between(g, x, y, seed=2) == p
