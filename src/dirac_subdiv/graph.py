@@ -181,14 +181,12 @@ def induced(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
 
 def min_degree(g: Graph) -> int | None:
     """Minimum degree, or None for the empty graph."""
-    if g.n == 0:
-        return None
-    return min(g.degree(v) for v in range(g.n))
+    return min(map(int.bit_count, g._masks), default=None)
 
 
 def regular_degree(g: Graph) -> int:
     """The common degree of a regular graph; ValueError if not regular."""
-    degs = {g.degree(v) for v in range(g.n)}
+    degs = set(map(int.bit_count, g._masks))
     if len(degs) != 1:
         raise ValueError("graph is not regular")
     return degs.pop()

@@ -13,8 +13,12 @@ returns passes the template's block-degree check.
 Both stages are Las Vegas: a candidate partition is checked against the
 required degree thresholds and re-randomized on failure (whole-partition
 retries for the first stage, per-level retries for the second, since each
-bisection level conditions on the previous one). Returned partitions always
-satisfy the advertised postconditions.
+bisection level conditions on the previous one). At the final bisection
+level a pair of sibling blocks that misses is first repaired by
+deterministic steepest-descent vertex swaps between the two, in the manner
+of Kernighan and Lin, and re-checked; only a pair the repair cannot fix
+costs another draw. Returned partitions always satisfy the advertised
+postconditions.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import PartitionError
-from .graph import Graph, degree_into, mask_of, min_degree, regular_degree
+from .graph import Graph, mask_of, min_degree, regular_degree
 from .rng import make_rng, spawn_seed
 
 
@@ -287,6 +291,128 @@ def _block_events_violation(g: Graph, center: int, connectors, entries,
     return None
 
 
+def _swap_repair(g: Graph, center: int, conns: tuple[int, int],
+                 pair: tuple[tuple[int, ...], tuple[int, ...]],
+                 threshold: float, C: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Steepest-descent swaps between two sibling blocks; no randomness.
+
+    The shortfall of a block X with connector c is what
+    _block_events_violation finds missing, in whole degrees (an integer
+    degree meets a bound iff it meets its ceiling): tau*C inner degree of
+    each vertex of X, Ore degree (|X|+3)/2 of each vertex of X + {center,
+    c} inside that set, and tau*|X| degree of the center and of c into X.
+    Each step makes the swap of a in the first block with b in the second
+    that most reduces the pair's total shortfall, the lowest (a, b) on a
+    tie. One of a, b must take part in a shortfall: be short itself, or be
+    a non-neighbour of a short vertex of its block. The pass stops at zero
+    shortfall, when no swap reduces it, or after |A|+|B| swaps.
+
+    Every vertex keeps its degree counts into both blocks, updated from the
+    rows of the two swapped vertices. A vertex with count k and bounds
+    lo <= hi is short by max(0, lo-k) + max(0, hi-k). A swap moves the
+    count of every other vertex by at most one, which changes that by
+    [k<=lo]+[k<=hi] on a fall and by -([k<lo]+[k<hi]) on a rise. Held as
+    bit masks, those weights split the change of a swap into a term of a, a
+    term of b, and minus the number of bounds met exactly over the common
+    neighbours of a and b, so scoring a swap costs one AND and a popcount
+    or two.
+    """
+    z = center
+    pool = pair[0] + pair[1]
+    row = {v: g.neighbor_mask(v) for v in (*pool, z, *conns)}
+    inner = math.ceil(threshold * C)
+    bounds = []  # per side: vertex -> the bounds (lo, hi) its count must meet
+    for X, c in zip(pair, conns):
+        ore = math.ceil((len(X) + 3) / 2)
+        t = {v: sorted((inner, ore - (row[z] >> v & 1) - (row[c] >> v & 1)))
+             for v in pool}
+        t[z] = t[c] = sorted((math.ceil(threshold * len(X)), ore - (row[z] >> c & 1)))
+        bounds.append(t)
+    members = [sorted(pair[0]), sorted(pair[1])]
+    counts = [{v: (r & m).bit_count() for v, r in row.items()}
+              for m in (mask_of(pair[0]), mask_of(pair[1]))]
+
+    def short(s, v, k):
+        lo, hi = bounds[s][v]
+        return max(0, lo - k) + max(0, hi - k)
+
+    for _ in range(len(pool)):
+        # per side, as masks: the vertices whose shortfall grows by >= 1 and
+        # by 2 when their count falls by one, those whose shortfall shrinks
+        # by >= 1 and by 2 when it rises by one, and the swap-out candidates
+        fall1, fall2, rise1, rise2, movable = [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]
+        exact = {}  # vertex -> bounds its counts meet exactly, both sides
+        total = 0
+        for s in (0, 1):
+            m = mask_of(members[s])
+            for v in (*members[s], z, conns[s]):
+                k = counts[s][v]
+                lo, hi = bounds[s][v]
+                if k > hi:
+                    continue
+                bit = 1 << v
+                fall1[s] |= bit
+                if k <= lo:
+                    fall2[s] |= bit
+                if k == lo or k == hi:
+                    exact[v] = exact.get(v, 0) + (k == lo) + (k == hi)
+                if k < hi:
+                    rise1[s] |= bit
+                    if k < lo:
+                        rise2[s] |= bit
+                    total += max(0, lo - k) + hi - k
+                    movable[s] |= m & ~row[v]
+        if total == 0:
+            break
+        # bit slices of the exact counts: slice i holds the vertices of
+        # weight > i, so a set's weight is the sum of its popcounts with them
+        first, *more = [mask_of(v for v, w in exact.items() if w > i)
+                        for i in range(max(exact.values(), default=1))]
+        out = [[v for v in members[s] if movable[s] >> v & 1] for s in (0, 1)]
+        # own[s][v][j]: the change of a swap that moves v off side s, less
+        # the common-neighbour term; j = 1 when v and its partner are
+        # adjacent, so the partner's row also counts v, whose rise is void
+        own = ({}, {})
+        for s in (0, 1):
+            o = 1 - s
+            f1, f2, r1, r2 = fall1[s], fall2[s], rise1[o], rise2[o]
+            for v in members[s] if out[o] else out[s]:
+                r = row[v]
+                k = counts[o][v]
+                base = ((r & f1).bit_count() + (r & f2).bit_count()
+                        - (r & r1).bit_count() - (r & r2).bit_count()
+                        - short(s, v, counts[s][v]))
+                own[s][v] = (base + short(o, v, k),
+                             base + short(o, v, k - 1)
+                             + (rise1[s] >> v & 1) + (rise2[s] >> v & 1))
+        # a candidate a pairs with every b, any other a with candidate b only
+        every = [(b, row[b], own[1][b]) for b in members[1] if b in own[1]]
+        some = [(b, row[b], own[1][b]) for b in out[1]]
+        best, best_pair = 0, None
+        for a in members[0]:
+            ra, ta = row[a], own[0].get(a)
+            for b, rb, tb in every if movable[0] >> a & 1 else some:
+                ab = ra >> b & 1
+                common = ra & rb
+                delta = ta[ab] + tb[ab] - (common & first).bit_count()
+                for sl in more:
+                    delta -= (common & sl).bit_count()
+                if delta < best:
+                    best, best_pair = delta, (a, b)
+        if best_pair is None:
+            break
+        a, b = best_pair
+        members = [sorted({*members[0], b} - {a}), sorted({*members[1], a} - {b})]
+        if total + best == 0:
+            break
+        ra, rb = row[a], row[b]
+        for v in row:
+            change = (rb >> v & 1) - (ra >> v & 1)
+            counts[0][v] += change
+            counts[1][v] -= change
+    return tuple(members[0]), tuple(members[1])
+
+
 def block_partition(g: Graph, group: Iterable[int], center: int,
                     connectors: Sequence[int], alpha: float, delta: float,
                     level_budget: int = 50, seed: int = 0,
@@ -306,11 +432,18 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     finished block must also meet Ore's bound with its center and connector
     added: B = S + {center, connector} has min degree >= (|B|+1)/2, the
     block-min-degree check of check_template, labelled "block-ore-degree"
-    when it fails. A block that misses it is re-drawn at its level. Failing
-    levels are re-randomized up to level_budget times; exhaustion raises
-    PartitionError naming the level and failed event, whose attempts count
-    every level draw of the call (accepted levels included). Requires the
-    induced group min degree to be at least alpha*|group|.
+    when it fails.
+
+    At the final level, where every fresh set is a block, the draw is
+    checked one sibling pair at a time. A pair that misses is repaired
+    before another draw: _swap_repair swaps vertices between the two
+    siblings, deterministically and without drawing a seed, and the pair is
+    checked again by the same events. A draw that passes is used untouched.
+    A level whose draw still misses is re-randomized, up to level_budget
+    draws; exhaustion raises PartitionError naming the level and failed
+    event, whose attempts count every level draw of the call (accepted
+    levels included; repairs are not draws). Requires the induced group min
+    degree to be at least alpha*|group|.
     """
     if not (0 < delta < alpha):
         raise ValueError("need 0 < delta < alpha")
@@ -335,7 +468,7 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     C = (len(group) - extras) // d
     if C < 3:
         raise ValueError(f"blow-up constant {C} too small; need C >= 3")
-    gmin = min(degree_into(g, v, gmask) for v in group)
+    gmin = min((g.neighbor_mask(v) & gmask).bit_count() for v in group)
     if gmin < alpha * len(group) - 1e-9:
         raise ValueError(
             f"group min degree {gmin} below required {alpha * len(group):.3f}")
@@ -390,8 +523,25 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
                 right = tuple(sorted(pset[i] for i in perm[left_size:]))
                 new_sets.extend((left, right))
                 fresh.extend(((kids[0], left), (kids[1], right)))
-            last_viol = _block_events_violation(
-                g, center, connectors, fresh, threshold, C)
+            # the final level, where fresh holds sibling blocks side by side
+            # and new_sets[l] is block l, is checked one pair at a time; a
+            # pair that misses is repaired by swaps and checked again
+            step = 2 if level == tree.s else len(fresh)
+            for i in range(0, len(fresh), step):
+                sets = fresh[i:i + step]
+                last_viol = _block_events_violation(
+                    g, center, connectors, sets, threshold, C)
+                if last_viol is not None and level == tree.s:
+                    (lk, left), (rk, right) = sets
+                    left, right = _swap_repair(
+                        g, center, (connectors[lk.start], connectors[rk.start]),
+                        (left, right), threshold, C)
+                    sets = [(lk, left), (rk, right)]
+                    new_sets[lk.start], new_sets[rk.start] = left, right
+                    last_viol = _block_events_violation(
+                        g, center, connectors, sets, threshold, C)
+                if last_viol is not None:
+                    break
             if last_viol is None:
                 current = new_sets
                 total_attempts += attempt

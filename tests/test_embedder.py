@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dirac_subdiv import embedder, hampath, partition
@@ -357,12 +358,21 @@ class TestAttemptCounts:
                                       "hampath_calls": 0, "hampath_restarts": 0}
 
     def test_counts_match_draws_near_the_cliff(self, monkeypatch):
-        # N=2304 at eps=0.25: each attempt draws a good partition, clears
-        # some groups, then exhausts level 2 of a later group. Every draw
-        # derives its seed through partition.spawn_seed with a stage tag
-        # (0x0A good partition, 0x0B block level), which is tallied here.
-        host = gen_dirac_host(HostSpec(48, 4, 12, 0.25, seed=3))
-        pattern = gen_random_regular(48, 4, seed=0)
+        # a complete multipartite host at the degree bound (n=16, C=12,
+        # eps=0.25, N=768): parts of 288, 288 and 192 vertices, so every
+        # vertex has degree exactly 480 = ceil((1+eps)N/2). A block of 11
+        # has inner degree >= tau*C = 5.25 only with at most 5 vertices of
+        # each part, which the first bisection level can already rule out,
+        # so each attempt exhausts the final level of some group, swap
+        # repair included. Every draw derives its seed through
+        # partition.spawn_seed with a stage tag (0x0A good partition, 0x0B
+        # block level), which is tallied here.
+        N = 768
+        part = np.random.default_rng(0).permutation(np.repeat([0, 1, 2], [288, 288, 192]))
+        u, v = np.triu_indices(N, 1)
+        cross = part[u] != part[v]
+        host = Graph(N, np.stack([u[cross], v[cross]], axis=1))
+        pattern = gen_random_regular(16, 4, seed=0)
         real = partition.spawn_seed
         tags = []
 
@@ -380,3 +390,35 @@ class TestAttemptCounts:
             "hampath_calls": 0, "hampath_restarts": 0}
         assert rep.stage_attempts["good_partition"] >= 3
         assert rep.stage_attempts["block_levels"] > 3 * 50
+
+
+class TestSwapRepair:
+    """A final bisection level that misses is repaired by sibling swaps
+    before another draw, which moves the eps=0.25 cliff past n=64."""
+
+    @pytest.mark.parametrize("n", [48, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cliff_instances_embed_at_the_first_attempt(self, n, seed):
+        # without repair every master attempt at these sizes fails in the
+        # block partition
+        host = gen_dirac_host(HostSpec(n, 4, 12, 0.25, seed=seed))
+        h = gen_random_regular(n, 4, seed=seed)
+        rep = embed_subdivision(host, h, EmbedConfig(epsilon=0.25, C=12, seed=seed))
+        assert rep.success and rep.master_attempts_used == 1
+        assert verify_certificate(host, h, rep.certificate, require_spanning=True).ok
+
+    def test_repaired_blocks_pass_the_template_check(self, monkeypatch):
+        real = partition._swap_repair
+        changed = []
+
+        def spy(g, center, conns, pair, threshold, C):
+            out = real(g, center, conns, pair, threshold, C)
+            changed.append(out != pair)
+            return out
+
+        monkeypatch.setattr(partition, "_swap_repair", spy)
+        host = gen_dirac_host(HostSpec(48, 4, 12, 0.25, seed=0))
+        h = gen_random_regular(48, 4, seed=0)
+        t = build_template(host, h, EmbedConfig(epsilon=0.25, C=12, seed=0))
+        assert sum(changed) > 0
+        assert check_template(host, h, t).ok

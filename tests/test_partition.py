@@ -356,3 +356,166 @@ class TestBlockOreBound:
             block_partition(g, range(10), center=0, connectors=[1],
                             alpha=0.5, delta=0.1)
         assert exc.value.violation == ("block-ore-degree", 0, (0,), 5, 5.5)
+
+
+def pair_shortfall(g, center, conns, pair, tau, C):
+    """Total shortfall of two sibling blocks against the final-level events,
+    recounted from scratch in whole degrees."""
+    total = 0
+    for blk, conn in zip(pair, conns):
+        blk = set(blk)
+        full = blk | {center, conn}
+        ore = math.ceil((len(blk) + 3) / 2)
+        for v in blk:
+            total += max(0, math.ceil(tau * C) - degree_into(g, v, blk))
+        for v in (center, conn):
+            total += max(0, math.ceil(tau * len(blk)) - degree_into(g, v, blk))
+        for v in full:
+            total += max(0, ore - degree_into(g, v, full))
+    return total
+
+
+def exhaustive_repair(g, center, conns, pair, tau, C):
+    """Steepest descent that rescores every allowed swap by recounting."""
+    a_side, b_side = set(pair[0]), set(pair[1])
+
+    def takes_part(side, conn):
+        full = side | {center, conn}
+        ore = math.ceil((len(side) + 3) / 2)
+        out = set()
+        for v in full:
+            need = math.ceil(tau * (C if v in side else len(side)))
+            if degree_into(g, v, side) < need or degree_into(g, v, full) < ore:
+                out |= {u for u in side if not g.has_edge(u, v)}
+        return out
+
+    for _ in range(len(a_side) + len(b_side)):
+        now = pair_shortfall(g, center, conns, (a_side, b_side), tau, C)
+        if now == 0:
+            break
+        movable = takes_part(a_side, conns[0]) | takes_part(b_side, conns[1])
+        best, best_pair = 0, None
+        for a in sorted(a_side):
+            for b in sorted(b_side):
+                if a in movable or b in movable:
+                    after = pair_shortfall(g, center, conns, (a_side - {a} | {b},
+                                                              b_side - {b} | {a}), tau, C)
+                    if after - now < best:
+                        best, best_pair = after - now, (a, b)
+        if best_pair is None:
+            break
+        a, b = best_pair
+        a_side, b_side = a_side - {a} | {b}, b_side - {b} | {a}
+    return tuple(sorted(a_side)), tuple(sorted(b_side))
+
+
+def final_entries(bp):
+    return [(range(ell, ell + 1), blk) for ell, blk in enumerate(bp.blocks)]
+
+
+class TestSwapRepair:
+    def test_matches_exhaustive_rescoring(self):
+        # the incremental scores pick the same swaps as recounting every
+        # candidate from scratch, so the bookkeeping is exact
+        rng = random.Random(5)
+        moved = 0
+        for _ in range(40):
+            n = rng.randint(16, 28)
+            g = random_gnp(n, rng.uniform(0.5, 0.85), rng)
+            vs = rng.sample(range(n), n)
+            center, conns, rest = vs[0], (vs[1], vs[2]), vs[3:]
+            k = len(rest) // 2
+            pair = (tuple(sorted(rest[:k])), tuple(sorted(rest[k:])))
+            tau, C = rng.uniform(0.35, 0.6), k + 1
+            got = partition._swap_repair(g, center, conns, pair, tau, C)
+            assert got == exhaustive_repair(g, center, conns, pair, tau, C)
+            assert sorted(got[0] + got[1]) == sorted(rest)
+            assert [len(b) for b in got] == [len(b) for b in pair]
+            moved += got != pair
+        assert moved >= 10
+
+    def test_repaired_level_passes_the_block_checks(self, monkeypatch):
+        # G(48, 0.75) groups at tau = 7/16: the first final-level draw misses
+        # tau*C in every seed and swap repair makes it pass
+        real = partition._swap_repair
+        changed = []
+
+        def spy(*args):
+            out = real(*args)
+            changed.append(out != args[3])
+            return out
+
+        monkeypatch.setattr(partition, "_swap_repair", spy)
+        for seed in range(5):
+            g = random_gnp(48, 0.75, random.Random(seed))
+            alpha = min_degree(g) / 48
+            changed.clear()
+            bp = block_partition(g, range(48), 0, [1, 2, 3, 4], alpha=alpha,
+                                 delta=alpha - 0.4375, seed=seed)
+            assert bp.attempts == 2 and any(changed)
+            assert partition._block_events_violation(
+                g, 0, bp.connectors, final_entries(bp), 0.4375, 12) is None
+            assert ore_bound_holds(g, bp)
+            assert block_postconditions_hold(g, range(48), bp, alpha, alpha - 0.4375, 12)
+
+    def test_passing_draw_is_untouched(self, monkeypatch):
+        # only a sibling pair that misses is repaired, and a seed whose draws
+        # all pass gives the blocks the draws alone give
+        real = partition._swap_repair
+        calls = []
+
+        def spy(g, center, conns, pair, threshold, C):
+            entries = [(range(0, 1), pair[0]), (range(1, 2), pair[1])]
+            assert partition._block_events_violation(
+                g, center, conns, entries, threshold, C) is not None
+            calls.append(pair)
+            return real(g, center, conns, pair, threshold, C)
+
+        def outcome(g, seed):
+            alpha = min_degree(g) / 48
+            try:
+                return block_partition(g, range(48), 0, [1, 2, 3, 4], alpha=alpha,
+                                       delta=alpha - 0.4375, seed=seed)
+            except PartitionError as err:
+                return err.attempts, err.violation
+
+        untouched = 0
+        for seed in range(6):
+            g = random_gnp(48, 0.8, random.Random(seed))
+            calls.clear()
+            monkeypatch.setattr(partition, "_swap_repair", spy)
+            bp = outcome(g, seed)
+            monkeypatch.setattr(partition, "_swap_repair",
+                                lambda g, center, conns, pair, threshold, C: pair)
+            drawn = outcome(g, seed)
+            if not calls:
+                untouched += 1
+                assert bp == drawn
+        assert 0 < untouched < 6
+
+    @pytest.mark.parametrize("p, seed", [(0.75, 0), (0.75, 3), (0.7, 0)])
+    def test_repair_derives_no_seed(self, monkeypatch, p, seed):
+        # one 0x0B seed per counted draw, repaired or not; (0.7, 0) exhausts
+        # the final level with a repair on every draw
+        real_seed, real_repair = partition.spawn_seed, partition._swap_repair
+        tags, repairs = [], []
+
+        def seed_spy(*parts):
+            tags.append(parts[1])
+            return real_seed(*parts)
+
+        def repair_spy(*args):
+            repairs.append(1)
+            return real_repair(*args)
+
+        monkeypatch.setattr(partition, "spawn_seed", seed_spy)
+        monkeypatch.setattr(partition, "_swap_repair", repair_spy)
+        g = random_gnp(48, p, random.Random(seed))
+        alpha = min_degree(g) / 48
+        try:
+            draws = block_partition(g, range(48), 0, [1, 2, 3, 4], alpha=alpha,
+                                    delta=alpha - 0.4375, seed=seed).attempts
+        except PartitionError as err:
+            assert err.level == 2
+            draws = err.attempts
+        assert repairs and tags == [0x0B] * draws
