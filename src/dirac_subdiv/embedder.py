@@ -133,14 +133,15 @@ def resolve_dimensions(g: Graph, h: Graph, cfg: EmbedConfig):
 
 def _part_order(g: Graph, part) -> list[int]:
     """Part vertices by descending degree into the part, ties by id."""
-    pmask = mask_of(part)
-    return sorted(part, key=lambda v: (-(g.neighbor_mask(v) & pmask).bit_count(), v))
+    rows, pmask = g.rows, mask_of(part)
+    return sorted(part, key=lambda v: (-(rows[v] & pmask).bit_count(), v))
 
 
 def _select_connectors_and_branch(g: Graph, h: Graph, parts):
     """Pick one connector pair per pattern edge and one branch vertex per
     group, all distinct, greedily preferring vertices of large degree into
     their own group. Deterministic."""
+    rows = g.rows
     orders = [_part_order(g, p) for p in parts]
     masks = [mask_of(p) for p in parts]
     used: set[int] = set()
@@ -150,7 +151,7 @@ def _select_connectors_and_branch(g: Graph, h: Graph, parts):
         for u in orders[i]:
             if u in used:
                 continue
-            avail = g.neighbor_mask(u) & masks[j]
+            avail = rows[u] & masks[j]
             if not avail:
                 continue
             for v in orders[j]:
@@ -319,16 +320,17 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
             return TemplateCheck(False, "block-size",
                                  f"block {key} has size {size}, window [{lo},{hi}]")
 
+    rows = g.rows  # the cover check above put every block id in range
     for key in sorted(expected):
         blk = t.blocks[key]
         bmask = mask_of(blk)
         need = (len(blk) + 1) / 2.0
         for v in blk:
-            if (g.neighbor_mask(v) & bmask).bit_count() < need:
+            have = (rows[v] & bmask).bit_count()
+            if have < need:
                 return TemplateCheck(
                     False, "block-min-degree",
-                    f"vertex {v} has degree "
-                    f"{(g.neighbor_mask(v) & bmask).bit_count()} in block {key}, "
+                    f"vertex {v} has degree {have} in block {key}, "
                     f"need >= {need}")
 
     for (i, j) in sorted((i, j) for (i, j) in expected if i < j):
@@ -414,17 +416,15 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
         for i in range(n):
             for j in sorted(h.neighbors(i)):
                 blk = template.blocks[(i, j)]
-                sub, index = induced(g, blk)
-                inv = sorted(blk)
-                local, stats = hamilton_path_between(
-                    sub, index[template.branch[i]],
-                    index[template.connectors[(i, j)]], return_stats=True)
+                path, stats = hamilton_path_between(
+                    g, template.branch[i], template.connectors[(i, j)],
+                    return_stats=True, within=blk)
                 attempts["hampath_calls"] += 1
                 attempts["hampath_restarts"] += stats["restarts"]
-                if local is None:
-                    failed_block = ((i, j), _ore_diagnostic(sub))
+                if path is None:
+                    failed_block = ((i, j), _ore_diagnostic(induced(g, blk)[0]))
                     break
-                half_paths[(i, j)] = [inv[v] for v in local]
+                half_paths[(i, j)] = path
             if failed_block:
                 break
         if failed_block:

@@ -78,6 +78,12 @@ class Graph:
     def edge_count(self) -> int:
         return self._edge_count
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """The adjacency rows, rows[v] == neighbor_mask(v), for hot loops
+        over ids already checked to lie in range."""
+        return self._masks
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
         return tuple(bits(self._masks[v]))

@@ -1,20 +1,23 @@
 """Hamilton x,y-paths in dense graphs.
 
-On graphs whose minimum degree is at least (|V|+1)/2 (Ore's bound, which
-every block of an embedding template meets) the path always exists, and it
-is built deterministically by Ore's proof read as an algorithm: close the
-gaps of one fixed vertex cycle by segment reversals (Palmer 1997). Every
-other graph gets rotation-extension with seeded random restarts: grow a
-path from the fixed endpoint x by random greedy extension, and when stuck,
-rotate the free endpoint along chords, holding the target y in reserve
-until only it remains. The exact subset dynamic program below settles
-(finds or certifies absent) what the restarts miss whenever the graph is
-small enough for it.
+The path runs through the whole graph, or through a vertex set of it (an
+embedding block) given as `within`. On a set whose induced minimum degree
+is at least (|S|+1)/2 (Ore's bound, which every block of an embedding
+template meets) the path always exists, and it is built deterministically
+by Ore's proof read as an algorithm: close the gaps of one fixed vertex
+cycle by segment reversals (Palmer 1997). That only tests adjacency, so it
+reads the host's own bitmask rows and builds no induced graph. Every other
+set gets rotation-extension with seeded random restarts on its induced
+graph: grow a path from the fixed endpoint x by random greedy extension,
+and when stuck, rotate the free endpoint along chords, holding the target
+y in reserve until only it remains. The exact subset dynamic program below
+settles (finds or certifies absent) what the restarts miss whenever the
+graph is small enough for it.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits, min_degree
+from .graph import Graph, bits, induced, mask_of
 from .rng import make_rng, spawn_seed
 
 EXACT_THRESHOLD = 20
@@ -30,17 +33,24 @@ def is_simple_path(g: Graph, seq) -> bool:
     return all(g.has_edge(u, v) for u, v in zip(seq, seq[1:]))
 
 
-def _check_endpoints(g: Graph, x: int, y: int) -> None:
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"endpoints ({x},{y}) out of range for {g.n} vertices")
+def _path_vertices(g: Graph, x: int, y: int, within=None):
+    """The vertices a Hamilton x,y-path covers, ascending: all of g, or the
+    set `within`, once checked to hold only ids of g and both endpoints,
+    which must differ."""
+    vs = range(g.n) if within is None else sorted(set(within))
+    if vs and not (0 <= vs[0] and vs[-1] < g.n):
+        raise ValueError(f"vertex set has ids out of range for {g.n} vertices")
     if x == y:
         raise ValueError("endpoints must be distinct")
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
+    if x not in vs or y not in vs:
+        raise ValueError(f"endpoints ({x},{y}) must lie among the {len(vs)} path vertices")
+    return vs
 
 
-def _ore_path(g: Graph, x: int, y: int) -> list[int]:
-    """Hamilton x,y-path of a graph with 2 * min degree >= n + 1.
+def _ore_path(rows, vertices, x: int, y: int) -> list[int]:
+    """Hamilton x,y-path through an ascending vertex set of n vertices, each
+    with at least (n+1)/2 neighbours in the set; rows[v] is v's adjacency
+    mask, whose bits outside the set are never read.
 
     The cycle c is x, the other vertices ascending, y, closed by a virtual
     edge yx. At the first pair (c[i], c[i+1]) that is not an edge, a j in
@@ -52,13 +62,13 @@ def _ore_path(g: Graph, x: int, y: int) -> list[int]:
     so one left-to-right pass closes every gap. j < n - 1, so x and y never
     move.
     """
-    rows = [g.neighbor_mask(v) for v in range(g.n)]
-    c = [x, *(v for v in range(g.n) if v != x and v != y), y]
-    for i in range(g.n - 1):
+    c = [x, *(v for v in vertices if v != x and v != y), y]
+    n = len(c)
+    for i in range(n - 1):
         a, b = rows[c[i]], rows[c[i + 1]]
         if a >> c[i + 1] & 1:
             continue
-        j = next(j for j in range(g.n - 1) if a >> c[j] & 1 and b >> c[j + 1] & 1)
+        j = next(j for j in range(n - 1) if a >> c[j] & 1 and b >> c[j + 1] & 1)
         lo, hi = (i + 1, j + 1) if j > i else (j + 1, i + 1)
         c[lo:hi] = reversed(c[lo:hi])
     return c
@@ -140,25 +150,47 @@ def _exact_path(g: Graph, x: int, y: int) -> list[int] | None:
 
 
 def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
-                          seed: int = 0, return_stats: bool = False):
+                          seed: int = 0, return_stats: bool = False,
+                          within=None):
     """Hamilton x,y-path of g, or None if there is none (or none was found).
 
-    When 2 * min degree >= n + 1 (Ore's bound) the path exists and is built
-    deterministically by gap closing; no seed is drawn, budget and seed are
-    unused, and the stats read no restarts. Any other graph gets up to
-    `budget` seeded rotation-extension restarts, then the exact subset DP
-    when it has at most EXACT_THRESHOLD vertices. Within that size the
-    answer is definitive: None means no Hamilton x,y-path exists. Above it,
-    None only means the heuristic failed.
+    With `within`, a set of vertex ids of g holding x and y, the path runs
+    through exactly that set, in the subgraph it induces, and is given in
+    g's ids; a member out of range, x == y, or an endpoint outside the set
+    is a ValueError. The result and stats are those of the same call on
+    induced(g, within) mapped back to g's ids.
+
+    When 2 * min degree >= n + 1 in the set (Ore's bound) the path exists
+    and is built deterministically by gap closing on g's own rows; no
+    induced graph is built, no seed is drawn, budget and seed are unused,
+    and the stats read no restarts. Any other set gets up to `budget`
+    seeded rotation-extension restarts on its induced graph, then the exact
+    subset DP when it has at most EXACT_THRESHOLD vertices. Within that
+    size the answer is definitive: None means no Hamilton x,y-path exists.
+    Above it, None only means the heuristic failed.
 
     With return_stats=True returns (path, stats) where stats reports the
     restarts consumed and whether the exact fallback ran.
     """
-    _check_endpoints(g, x, y)
+    vs = _path_vertices(g, x, y, within)
+    mask = g.full_mask() if within is None else mask_of(vs)
+    rows = g.rows
+    if 2 * min((rows[v] & mask).bit_count() for v in vs) >= len(vs) + 1:
+        path = _ore_path(rows, vs, x, y)
+        stats = {"restarts": 0, "exact": False}
+    elif within is None:
+        path, stats = _search(g, x, y, budget, seed)
+    else:
+        sub, index = induced(g, vs)
+        path, stats = _search(sub, index[x], index[y], budget, seed)
+        if path is not None:
+            path = [vs[v] for v in path]
+    return (path, stats) if return_stats else path
+
+
+def _search(g: Graph, x: int, y: int, budget: int, seed: int):
+    """(path, stats) of the rotation restarts and then the exact DP on g."""
     stats = {"restarts": 0, "exact": False}
-    if 2 * min_degree(g) >= g.n + 1:
-        path = _ore_path(g, x, y)
-        return (path, stats) if return_stats else path
     path = None
     for attempt in range(1, budget + 1):
         stats["restarts"] = attempt
@@ -169,7 +201,7 @@ def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
     if path is None and g.n <= EXACT_THRESHOLD:
         stats["exact"] = True
         path = _exact_path(g, x, y)
-    return (path, stats) if return_stats else path
+    return path, stats
 
 
 def brute_force_hamilton_path(g: Graph, x: int, y: int) -> list[int] | None:
@@ -181,7 +213,7 @@ def brute_force_hamilton_path(g: Graph, x: int, y: int) -> list[int] | None:
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")
-    _check_endpoints(g, x, y)
+    _path_vertices(g, x, y)
     full = g.full_mask()
     dead: set[tuple[int, int]] = set()
     path = [x]

@@ -77,13 +77,14 @@ class GoodnessCheck:
 
 def _degree_violations(g: Graph, pattern_edges, parts, threshold: float):
     """Worst degree violation and min slack for conditions 2 and 3."""
+    rows = g.rows
     masks = [mask_of(p) for p in parts]
     worst = None
     min_slack = math.inf
     for i, part in enumerate(parts):
         need = threshold * len(part)
         for v in part:
-            have = (g.neighbor_mask(v) & masks[i]).bit_count()
+            have = (rows[v] & masks[i]).bit_count()
             slack = have - need
             if slack < min_slack:
                 min_slack = slack
@@ -93,7 +94,7 @@ def _degree_violations(g: Graph, pattern_edges, parts, threshold: float):
         for a, b in ((i, j), (j, i)):
             need = threshold * len(parts[b])
             for v in parts[a]:
-                have = (g.neighbor_mask(v) & masks[b]).bit_count()
+                have = (rows[v] & masks[b]).bit_count()
                 slack = have - need
                 if slack < min_slack:
                     min_slack = slack
@@ -262,22 +263,23 @@ def _block_events_violation(g: Graph, center: int, connectors, entries,
     connector join it: every vertex of that set B has at least (|B|+1)/2
     neighbours in B, the bound check_template and the Hamilton stage need.
     """
+    rows = g.rows
     for iv, vs in entries:
         m = mask_of(vs)
         size = len(vs)
         final = len(iv) == 1
         need_inner = threshold * (C if final else size)
         for v in vs:
-            have = (g.neighbor_mask(v) & m).bit_count()
+            have = (rows[v] & m).bit_count()
             if have < need_inner:
                 label = "block-min-degree" if final else "set-min-degree"
                 return (label, v, tuple(iv), have, need_inner)
         need = threshold * size
-        have = (g.neighbor_mask(center) & m).bit_count()
+        have = (rows[center] & m).bit_count()
         if have < need:
             return ("center-degree", center, tuple(iv), have, need)
         for ell in iv:
-            have = (g.neighbor_mask(connectors[ell]) & m).bit_count()
+            have = (rows[connectors[ell]] & m).bit_count()
             if have < need:
                 return ("connector-degree", connectors[ell], tuple(iv), have, need)
         if final:
@@ -285,7 +287,7 @@ def _block_events_violation(g: Graph, center: int, connectors, entries,
             b = m | 1 << center | 1 << conn
             need_ore = (size + 3) / 2  # (|B|+1)/2 with |B| = size + 2
             for v in (*vs, center, conn):
-                have = (g.neighbor_mask(v) & b).bit_count()
+                have = (rows[v] & b).bit_count()
                 if have < need_ore:
                     return ("block-ore-degree", v, tuple(iv), have, need_ore)
     return None
@@ -319,7 +321,8 @@ def _swap_repair(g: Graph, center: int, conns: tuple[int, int],
     """
     z = center
     pool = pair[0] + pair[1]
-    row = {v: g.neighbor_mask(v) for v in (*pool, z, *conns)}
+    rows = g.rows
+    row = {v: rows[v] for v in (*pool, z, *conns)}
     inner = math.ceil(threshold * C)
     bounds = []  # per side: vertex -> the bounds (lo, hi) its count must meet
     for X, c in zip(pair, conns):
@@ -468,14 +471,16 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     C = (len(group) - extras) // d
     if C < 3:
         raise ValueError(f"blow-up constant {C} too small; need C >= 3")
-    gmin = min((g.neighbor_mask(v) & gmask).bit_count() for v in group)
+    rows = g.rows
+    gmin = min((rows[v] & gmask).bit_count() for v in group)
     if gmin < alpha * len(group) - 1e-9:
         raise ValueError(
             f"group min degree {gmin} below required {alpha * len(group):.3f}")
 
     sizes = [(C - 1 if ell < d - 1 else C - 2) + (1 if ell < extras else 0)
              for ell in range(d)]
-    pool = tuple(v for v in group if v not in set(specials))
+    special = set(specials)
+    pool = tuple(v for v in group if v not in special)
     assert len(pool) == sum(sizes)
 
     threshold = alpha - delta
@@ -518,7 +523,7 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
                     new_sets.append(pset)  # singleton carried, already checked
                     continue
                 left_size = span_size(kids[0])
-                perm = rng.permutation(len(pset))
+                perm = rng.permutation(len(pset)).tolist()
                 left = tuple(sorted(pset[i] for i in perm[:left_size]))
                 right = tuple(sorted(pset[i] for i in perm[left_size:]))
                 new_sets.extend((left, right))

@@ -115,9 +115,6 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
     checks.append(("shape", not shape_problems,
                    "; ".join(shape_problems) or None))
 
-    def in_range(v) -> bool:
-        return 0 <= v < g.n
-
     # (a) branch map injective
     seen: dict[int, int] = {}
     dup = None
@@ -144,9 +141,10 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
 
     # (c) consecutive pairs are host edges
     witness = None
+    n, rows = g.n, g.rows
     for (i, j), p in paths:
         for u, v in zip(p, p[1:]):
-            if not (in_range(u) and in_range(v)) or not g.has_edge(u, v):
+            if not (0 <= u < n and 0 <= v < n and rows[u] >> v & 1):
                 witness = f"edge ({i},{j}) path uses non-edge ({u},{v})"
                 break
         if witness:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,19 @@ class TestCheckTemplate:
         chk = check_template(g, h, template_copy(
             t, branch=(t.branch[0], t.branch[0], t.branch[2])))
         assert not chk.ok and chk.label == "structure"
+
+    @pytest.mark.parametrize("bad", [-1, 36])
+    def test_out_of_range_block_vertex_fails_cover(self, bad):
+        # the block-degree check indexes host rows by id; an id past either
+        # end must be caught by the cover check, never index or wrap a row
+        g, h, t = self.base()
+        key = (0, 1)
+        victim = next(v for v in t.blocks[key]
+                      if v not in (t.branch[0], t.connectors[key]))
+        blocks = dict(t.blocks)
+        blocks[key] = tuple(bad if v == victim else v for v in blocks[key])
+        chk = check_template(g, h, template_copy(t, blocks=blocks))
+        assert not chk.ok and chk.label == "cover"
 
 
 class TestGlue:
@@ -300,6 +315,28 @@ class TestHamiltonStage:
                               EmbedConfig(epsilon=0.5, seed=1))
         assert r.success and r.C == 64 > hampath.EXACT_THRESHOLD
         assert r.stage_attempts["hampath_restarts"] == 0
+
+    def test_blocks_are_paths_of_the_host_rows(self, monkeypatch):
+        # the golden certificate's run: no induced graph is built, and each
+        # block is one Hamilton call on the host with the block as `within`
+        builds, blocks = [], []
+        real = embedder.hamilton_path_between
+
+        def hampath_spy(g, x, y, **kwargs):
+            blocks.append(kwargs["within"])
+            return real(g, x, y, **kwargs)
+
+        monkeypatch.setattr(embedder, "induced", lambda *a: builds.append(a))
+        monkeypatch.setattr(embedder, "hamilton_path_between", hampath_spy)
+        host = gen_dirac_host(HostSpec(4, 3, 12, 0.25, seed=1005))
+        r = embed_subdivision(host, complete_graph(4),
+                              EmbedConfig(0.25, C=12, seed=5))
+        text = certificate_to_json(r.certificate)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e96ec15a6c5acc7a"
+        assert r.master_attempts_used == 1 and builds == []
+        assert len(blocks) == r.stage_attempts["hampath_calls"] == 4 * 3
+        assert sorted(v for b in blocks for v in b) == sorted(
+            [*range(host.n), *r.certificate.branch_map, *r.certificate.branch_map])
 
 
 class TestCertificateSerialization:

@@ -51,6 +51,11 @@ class TestGraphBasics:
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
 
+    def test_rows_are_the_neighbor_masks(self):
+        g = cycle_graph(70)
+        assert isinstance(g.rows, tuple) and len(g.rows) == g.n
+        assert g.rows == tuple(g.neighbor_mask(v) for v in range(g.n))
+
 
 class TestDegreeInto:
     def test_complete_graph(self):

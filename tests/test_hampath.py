@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirac_subdiv import (Graph, brute_force_hamilton_path, complete_graph,
-                          hamilton_path_between, hampath, min_degree)
+                          hamilton_path_between, hampath, induced, min_degree)
 from dirac_subdiv.hampath import is_simple_path
 from dirac_subdiv.rng import make_rng, spawn_seed
 
@@ -210,3 +212,68 @@ class TestOrePath:
                     assert stats["restarts"] == 0
                     # deterministic: the seed plays no part
                     assert hamilton_path_between(g, x, y, seed=2) == p
+
+
+def via_induced(g, x, y, members, seed):
+    """(path, stats) of the call on the induced graph, mapped back to g."""
+    sub, index = induced(g, members)
+    inv = sorted(index)
+    p, stats = hamilton_path_between(sub, index[x], index[y], seed=seed,
+                                     return_stats=True)
+    return (None if p is None else [inv[v] for v in p]), stats
+
+
+class TestWithin:
+    """A path through a vertex set of the host equals the path of the
+    induced graph mapped back; an Ore set is served from the host's rows
+    without building the induced graph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(4, 24), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_matches_the_induced_graph(self, n, p, host_seed, data):
+        g = random_gnp(n, p, random.Random(host_seed))
+        members = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                     max_size=n, unique=True))
+        x, y = data.draw(st.permutations(members))[:2]
+        seed = data.draw(st.integers(0, 9))
+        want = via_induced(g, x, y, members, seed)
+        builds = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hampath, "induced",
+                       lambda *a: builds.append(a) or induced(*a))
+            got = hamilton_path_between(g, x, y, seed=seed, return_stats=True,
+                                        within=members)
+        assert got == want
+        sub = induced(g, members)[0]
+        assert (builds == []) == (2 * min_degree(sub) >= sub.n + 1)
+
+    def test_c5_in_a_sparse_host(self):
+        # a 5-cycle 2-5-7-11-13 on 16 vertices, misses Ore's bound
+        cyc = [2, 5, 7, 11, 13]
+        g = Graph(16, [(cyc[k], cyc[(k + 1) % 5]) for k in range(5)]
+                  + [(0, 1), (1, 3), (5, 9), (9, 12), (13, 15)])
+        got = hamilton_path_between(g, 2, 5, seed=1, return_stats=True,
+                                    within=cyc)
+        assert got == via_induced(g, 2, 5, cyc, 1)
+        assert got[0] == [2, 13, 11, 7, 5] and got[1]["restarts"] >= 1
+
+    def test_ore_block_in_a_sparse_host(self):
+        # K6 on 3, 4, 8, 9, 14, 15 of a 20-vertex host, with edges leaving it
+        block = [3, 4, 8, 9, 14, 15]
+        g = Graph(20, [(u, v) for u in block for v in block if u < v]
+                  + [(0, 3), (4, 19), (8, 10), (15, 16)])
+        got = hamilton_path_between(g, 9, 4, return_stats=True, within=block)
+        assert got == via_induced(g, 9, 4, block, 0)
+        assert got == ([9, 3, 8, 14, 15, 4], {"restarts": 0, "exact": False})
+
+    @pytest.mark.parametrize("x,y,members", [
+        (0, 1, [0, 1, -1]),       # a negative member
+        (0, 1, [0, 1, 6]),        # a member past the last vertex
+        (2, 2, [1, 2, 3]),        # x == y
+        (0, 5, [0, 1, 2]),        # y outside the set
+        (4, 1, [0, 1, 2]),        # x outside the set
+    ])
+    def test_bad_sets_rejected(self, x, y, members):
+        with pytest.raises(ValueError):
+            hamilton_path_between(complete_graph(6), x, y, within=members)

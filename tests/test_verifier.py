@@ -66,6 +66,15 @@ class TestShapeCheck:
         rep = verify_certificate(host, pattern, broken)
         assert "shape" in rep.failed()
 
+    def test_negative_id_inside_a_path(self):
+        # edges-exist reads host rows by id: -1 must fail it, not wrap to a row
+        host, pattern, cert = valid_base_certificate()
+        broken = SubdivisionCertificate(
+            cert.host_vertex_count, cert.pattern, cert.branch_map,
+            {(0, 1): cert.edge_paths[(0, 1)], (1, 2): (3, 4, -1, 6, 7)})
+        failed = verify_certificate(host, pattern, broken).failed()
+        assert "shape" in failed and "edges-exist" in failed
+
     def test_problems_reported_never_raised(self):
         host, pattern, cert = valid_base_certificate()
         garbage = SubdivisionCertificate(5, path_graph(2), (42,),
