@@ -163,7 +163,7 @@ class SweepResult:
 def _sweep_trial(kind: str, n: int, d: int, C: int, eps: float, seed: int) -> dict:
     N = C * d * n
     out = {"ok": False, "master": 0, "good_partition": 0, "block_levels": 0,
-           "hampath_restarts": 0, "wall_s": 0.0, "error": None}
+           "wall_s": 0.0, "error": None}
     try:
         if kind == "complete":
             host = complete_graph(N)
@@ -178,7 +178,6 @@ def _sweep_trial(kind: str, n: int, d: int, C: int, eps: float, seed: int) -> di
         out.update(ok=rep.success, master=rep.master_attempts_used,
                    good_partition=rep.stage_attempts["good_partition"],
                    block_levels=rep.stage_attempts["block_levels"],
-                   hampath_restarts=rep.stage_attempts["hampath_restarts"],
                    wall_s=rep.wall_time_s)
     except GenerationError as e:
         out["error"] = str(e)
@@ -205,7 +204,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             "mean_master": sum(t["master"] for t in trials) / spec.trials,
             "mean_good_partition": sum(t["good_partition"] for t in trials) / spec.trials,
             "mean_block_levels": sum(t["block_levels"] for t in trials) / spec.trials,
-            "mean_hampath_restarts": sum(t["hampath_restarts"] for t in trials) / spec.trials,
             "mean_wall_ms": 1000.0 * sum(t["wall_s"] for t in trials) / spec.trials,
         }
         rows.append(row)
@@ -225,7 +223,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     cols = ["kind", "n", "d", "C", "epsilon", "N", "trials", "successes",
             "errors", "success_rate", "mean_master", "mean_good_partition",
-            "mean_block_levels", "mean_hampath_restarts"]
+            "mean_block_levels"]
     if spec.include_timings:
         cols.append("mean_wall_ms")
 

@@ -158,7 +158,8 @@ def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
     through exactly that set, in the subgraph it induces, and is given in
     g's ids; a member out of range, x == y, or an endpoint outside the set
     is a ValueError. The result and stats are those of the same call on
-    induced(g, within) mapped back to g's ids.
+    induced(g, within) mapped back to g's ids. Without `within` the set is
+    all of g, whose induced graph is g itself under the identity relabelling.
 
     When 2 * min degree >= n + 1 in the set (Ore's bound) the path exists
     and is built deterministically by gap closing on g's own rows; no
@@ -173,13 +174,11 @@ def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
     restarts consumed and whether the exact fallback ran.
     """
     vs = _path_vertices(g, x, y, within)
-    mask = g.full_mask() if within is None else mask_of(vs)
+    mask = mask_of(vs)
     rows = g.rows
     if 2 * min((rows[v] & mask).bit_count() for v in vs) >= len(vs) + 1:
         path = _ore_path(rows, vs, x, y)
         stats = {"restarts": 0, "exact": False}
-    elif within is None:
-        path, stats = _search(g, x, y, budget, seed)
     else:
         sub, index = induced(g, vs)
         path, stats = _search(sub, index[x], index[y], budget, seed)

@@ -285,6 +285,13 @@ class TestHamiltonStage:
     """Every block meets Ore's bound, so the Hamilton stage builds its
     paths by gap closing: no seed, no restart, no exact DP."""
 
+    @staticmethod
+    def spy_restarts(monkeypatch):
+        restarts = []
+        monkeypatch.setattr(hampath, "_rotation_restart",
+                            lambda *a: restarts.append(a))
+        return restarts
+
     def test_no_seed_after_the_template(self, monkeypatch):
         tags = []
 
@@ -298,11 +305,12 @@ class TestHamiltonStage:
 
         spy(embedder)
         spy(hampath)
+        restarts = self.spy_restarts(monkeypatch)
         host = gen_dirac_host(HostSpec(8, 3, 12, 0.25, seed=4))
         r = embed_subdivision(host, gen_random_regular(8, 3, seed=4),
                               EmbedConfig(epsilon=0.25, seed=4))
         assert r.success and r.stage_attempts["hampath_calls"] == 8 * 3
-        assert r.stage_attempts["hampath_restarts"] == 0
+        assert restarts == []
         assert 0x01 in tags and 0x11 not in tags and 0x12 not in tags
 
     def test_blocks_past_the_exact_threshold(self, monkeypatch):
@@ -311,10 +319,34 @@ class TestHamiltonStage:
             raise AssertionError("exact DP engaged")
 
         monkeypatch.setattr(hampath, "_exact_path", no_dp)
+        restarts = self.spy_restarts(monkeypatch)
         r = embed_subdivision(complete_graph(384), complete_graph(3),
                               EmbedConfig(epsilon=0.5, seed=1))
         assert r.success and r.C == 64 > hampath.EXACT_THRESHOLD
-        assert r.stage_attempts["hampath_restarts"] == 0
+        assert restarts == []
+
+    def test_a_block_without_a_path_is_an_error(self, monkeypatch):
+        # the stage cannot fail on a checked template, so a missing path
+        # is a fault that names its block, not a reason to retry
+        templates = []
+        real_build = embedder.build_template
+        real_path = embedder.hamilton_path_between
+
+        def build_spy(*args, **kwargs):
+            templates.append(real_build(*args, **kwargs))
+            return templates[-1]
+
+        def no_path_in_block_12(g, x, y, **kwargs):
+            path, stats = real_path(g, x, y, **kwargs)
+            if y == templates[-1].connectors[(1, 2)]:
+                return None, stats
+            return path, stats
+
+        monkeypatch.setattr(embedder, "build_template", build_spy)
+        monkeypatch.setattr(embedder, "hamilton_path_between", no_path_in_block_12)
+        with pytest.raises(AssertionError, match=r"block \(1, 2\)"):
+            embed_subdivision(complete_graph(36), complete_graph(3),
+                              EmbedConfig(epsilon=0.3, C=6, seed=2))
 
     def test_blocks_are_paths_of_the_host_rows(self, monkeypatch):
         # the golden certificate's run: no induced graph is built, and each
@@ -380,7 +412,7 @@ class TestAttemptCounts:
         assert rep.master_attempts_used == 3
         assert len(calls) == 6
         assert rep.stage_attempts == {"good_partition": 3, "block_levels": 24,
-                                      "hampath_calls": 0, "hampath_restarts": 0}
+                                      "hampath_calls": 0}
 
     def test_forced_template_failure(self, monkeypatch):
         # both partition stages succeed at their first draw in each of the
@@ -392,7 +424,7 @@ class TestAttemptCounts:
                                             master_attempts=2))
         assert not rep.success and rep.failure_stage == "template"
         assert rep.stage_attempts == {"good_partition": 2, "block_levels": 6,
-                                      "hampath_calls": 0, "hampath_restarts": 0}
+                                      "hampath_calls": 0}
 
     def test_counts_match_draws_near_the_cliff(self, monkeypatch):
         # a complete multipartite host at the degree bound (n=16, C=12,
@@ -424,7 +456,7 @@ class TestAttemptCounts:
         assert rep.stage_attempts == {
             "good_partition": tags.count(0x0A),
             "block_levels": tags.count(0x0B),
-            "hampath_calls": 0, "hampath_restarts": 0}
+            "hampath_calls": 0}
         assert rep.stage_attempts["good_partition"] >= 3
         assert rep.stage_attempts["block_levels"] > 3 * 50
 

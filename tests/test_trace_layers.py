@@ -41,4 +41,5 @@ def test_traced_embed_records_its_layers(spans):
     assert metrics["partition.good_draws"] == report.stage_attempts["good_partition"]
     assert metrics["partition.block_level_draws"] == report.stage_attempts["block_levels"]
     assert metrics["hampath.calls"] == report.stage_attempts["hampath_calls"]
-    assert metrics["hampath.restarts"] == report.stage_attempts["hampath_restarts"]
+    assert metrics["hampath.restarts"] == 0
+    assert metrics["hampath.none"] == 0
