@@ -11,12 +11,12 @@ from .certificate import (SubdivisionCertificate, certificate_from_json,
                           write_certificate)
 from .embedder import (EmbedConfig, EmbedReport, Template, TemplateCheck,
                        build_template, check_template, embed_subdivision, glue)
-from .errors import GenerationError, PartitionError, TemplateError
+from .errors import GenerationError, PartitionError
 from .generators import (HostSpec, complete_graph, gen_dirac_host,
                          gen_random_regular, gen_two_clique_extremal)
-from .graph import (Graph, bipartite_min_degree, degree_into, format_edge_list,
-                    induced, min_degree, parse_edge_list, read_edge_list,
-                    regular_degree, to_dot, write_edge_list)
+from .graph import (Graph, degree_into, format_edge_list, induced, min_degree,
+                    parse_edge_list, read_edge_list, regular_degree, to_dot,
+                    write_edge_list)
 from .hampath import brute_force_hamilton_path, hamilton_path_between
 from .partition import (BlockPartition, GoodPartition, GoodnessCheck,
                         IntervalTree, block_partition, good_partition,
@@ -28,7 +28,7 @@ from .verifier import (PathLengthStats, VerifyReport, path_length_stats,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "degree_into", "induced", "min_degree", "bipartite_min_degree",
+    "Graph", "degree_into", "induced", "min_degree",
     "parse_edge_list", "format_edge_list", "read_edge_list", "write_edge_list",
     "regular_degree",
     "to_dot",
@@ -44,6 +44,6 @@ __all__ = [
     "read_certificate", "write_certificate",
     "PathLengthStats", "VerifyReport", "verify_certificate",
     "path_length_stats",
-    "GenerationError", "PartitionError", "TemplateError",
+    "GenerationError", "PartitionError",
     "__version__",
 ]

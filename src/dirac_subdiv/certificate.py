@@ -58,10 +58,22 @@ def _ints(value) -> list[int]:
     return [_typed(v, int) for v in _typed(value, list)]
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are distinct: json.loads would keep the last
+    of a repeated key and silently drop the others."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"certificate repeats the key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def certificate_from_json(text: str) -> SubdivisionCertificate:
     """Parse a certificate document. Any malformed document, including a
-    missing field or a value of the wrong JSON type, raises ValueError."""
-    doc = json.loads(text)
+    missing field, a value of the wrong JSON type, a repeated key or a
+    pattern edge listed twice, raises ValueError."""
+    doc = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ValueError("not a subdivision certificate document")
     if type(doc.get("version")) is not int or doc["version"] != FORMAT_VERSION:
@@ -72,6 +84,8 @@ def certificate_from_json(text: str) -> SubdivisionCertificate:
         edge_paths = {}
         for entry in _typed(doc["edge_paths"], list):
             i, j = _ints(entry["edge"])
+            if (i, j) in edge_paths:
+                raise ValueError(f"certificate lists the edge {[i, j]} twice")
             edge_paths[(i, j)] = tuple(_ints(entry["vertices"]))
         return SubdivisionCertificate(
             host_vertex_count=_typed(doc["host_vertex_count"], int),

@@ -10,8 +10,10 @@ result is a certificate that is verified from scratch before being
 reported; a success report never carries an unverified certificate.
 
 Randomness is Las Vegas throughout: every template stage checks its own
-output and the whole pipeline retries with a fresh derived seed when the
-template or the final verification fails. Only the template is random.
+output and the whole pipeline retries with a fresh derived seed when a
+partition stage runs out of draws or the final verification fails. Only
+the template is random, and the connector and branch picks between the
+two partition stages are deterministic and cannot fail.
 Every block meets Ore's bound, so the Hamilton stage builds its paths
 deterministically, draws no seed and cannot fail.
 """
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .certificate import SubdivisionCertificate
-from .errors import PartitionError, TemplateError
+from .errors import PartitionError
 from .generators import dirac_degree_bound
 # induced is unused here; perfbench/spans.py traces it as embedder.induced
 from .graph import Graph, induced, mask_of, min_degree, regular_degree
@@ -69,7 +71,6 @@ class Template:
     branch: tuple[int, ...]
     connectors: dict[tuple[int, int], int]
     blocks: dict[tuple[int, int], tuple[int, ...]]
-    C: int
     size_window: tuple[int, int]
 
 
@@ -142,42 +143,31 @@ def _part_order(g: Graph, part) -> list[int]:
 def _select_connectors_and_branch(g: Graph, h: Graph, parts):
     """Pick one connector pair per pattern edge and one branch vertex per
     group, all distinct, greedily preferring vertices of large degree into
-    their own group. Deterministic."""
+    their own group. Deterministic.
+
+    The picks cannot run out on a good partition, which build_template
+    checks at (1+eps)/2 - eps/2 = 1/2: every vertex of group i then has at
+    least |P_j|/2 >= 3d/2 neighbours in each pattern-neighbour group j,
+    since |P_j| >= C*d >= 3d. When the pair of edge ij is picked, at most
+    d-1 vertices of group i or of group j are taken (connectors of their
+    other edges), so group i has an unused vertex u and u an unused
+    neighbour in group j. After the connectors each group has d of its
+    >= 3d vertices taken, which leaves it a branch vertex.
+    """
     rows = g.rows
     orders = [_part_order(g, p) for p in parts]
     masks = [mask_of(p) for p in parts]
     used: set[int] = set()
     connectors: dict[tuple[int, int], int] = {}
     for i, j in sorted(h.edges()):
-        pick = None
-        for u in orders[i]:
-            if u in used:
-                continue
-            avail = rows[u] & masks[j]
-            if not avail:
-                continue
-            for v in orders[j]:
-                if v not in used and (avail >> v & 1):
-                    pick = (u, v)
-                    break
-            if pick:
-                break
-        if pick is None:
-            raise TemplateError(
-                f"no unused host edge left between groups {i} and {j}",
-                label="connector-selection", witness=(i, j))
-        connectors[(i, j)], connectors[(j, i)] = pick
-        used.update(pick)
-    branch = []
-    for i in range(h.n):
-        cand = next((v for v in orders[i] if v not in used), None)
-        if cand is None:
-            raise TemplateError(
-                f"group {i} has no unused vertex left for a branch vertex",
-                label="branch-selection", witness=i)
-        branch.append(cand)
-        used.add(cand)
-    return tuple(branch), connectors
+        u = next(u for u in orders[i] if u not in used)
+        nbrs = rows[u] & masks[j]
+        v = next(v for v in orders[j] if v not in used and nbrs >> v & 1)
+        connectors[(i, j)], connectors[(j, i)] = u, v
+        used.update((u, v))
+    # a branch pick need not join `used`: no two come from one group
+    branch = tuple(next(v for v in order if v not in used) for order in orders)
+    return branch, connectors
 
 
 def _counted(counts: dict[str, int], key: str, stage, *args, **kwargs):
@@ -203,10 +193,12 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     block, branch vertex and connector included, at Ore's bound
     (|block|+1)/2, so a block that would fail check_template's
     block-min-degree is re-drawn at its own bisection level instead of
-    failing the whole attempt. Raises PartitionError or TemplateError when a
-    randomized stage exhausts its budget or a check fails, and ValueError
-    when the inputs are structurally unsuitable or the host misses the
-    degree bound (the latter checked by good_partition).
+    failing the whole attempt. Raises PartitionError when a randomized
+    stage exhausts its budget, and ValueError when the inputs are
+    structurally unsuitable or the host misses the degree bound (the latter
+    checked by good_partition). Every template passes check_template by
+    construction, so a failed check is a bug: an AssertionError that names
+    the label and the witness.
 
     When `counts` is given, every good-partition draw is added to
     counts["good_partition"] and every block-level draw to
@@ -242,12 +234,9 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
                 bp.blocks[k] + (branch[i], connectors[(i, j)])))
 
     window = (C, C + 1) if g.n == C * d * n else (C, C + 2)
-    template = Template(branch, connectors, blocks, C, window)
+    template = Template(branch, connectors, blocks, window)
     check = check_template(g, h, template)
-    if not check.ok:
-        raise TemplateError(
-            f"template self-check failed: {check.label}: {check.witness}",
-            label=check.label, witness=check.witness)
+    assert check.ok, f"template self-check failed: {check.label}: {check.witness}"
     return template
 
 
@@ -375,7 +364,7 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
     t0 = time.perf_counter()
     n, d, C = resolve_dimensions(g, h, cfg)
     N = g.n
-    attempts = {"good_partition": 0, "block_levels": 0, "hampath_calls": 0}
+    attempts = {"good_partition": 0, "block_levels": 0}
     failures: list[str] = []
 
     def report(success, used, stage=None, detail=None, stats=None, cert=None):
@@ -392,7 +381,6 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
         return report(False, 0, stage="precondition",
                       detail=f"host min degree {md} below required {bound}")
 
-    last_stage = None
     for master in range(1, cfg.master_attempts + 1):
         seed_a = spawn_seed(cfg.seed, 0x01, master)
         try:
@@ -401,10 +389,6 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
             last_stage = "good-partition" if e.level is None else "block-partition"
             failures.append(f"attempt {master}: {last_stage}: {e}")
             continue
-        except TemplateError as e:
-            last_stage = "template"
-            failures.append(f"attempt {master}: template: {e}")
-            continue
 
         half_paths: dict[tuple[int, int], list[int]] = {}
         for (i, j), blk in template.blocks.items():
@@ -412,7 +396,6 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
             path, _ = hamilton_path_between(
                 g, template.branch[i], template.connectors[(i, j)],
                 return_stats=True, within=blk)
-            attempts["hampath_calls"] += 1
             assert path is not None, f"no Hamilton path in block {(i, j)}"
             half_paths[(i, j)] = path
 
@@ -429,6 +412,4 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
         last_stage = "verification"
         failures.append(f"attempt {master}: verification: {vr.failed()}")
 
-    return report(False, cfg.master_attempts,
-                  stage=last_stage or "pipeline",
-                  detail=failures[-1] if failures else "no attempt recorded")
+    return report(False, cfg.master_attempts, stage=last_stage, detail=failures[-1])

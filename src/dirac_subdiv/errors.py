@@ -22,12 +22,3 @@ class PartitionError(RuntimeError):
         self.attempts = attempts
         self.level = level
         self.violation = violation
-
-
-class TemplateError(RuntimeError):
-    """Template construction produced or detected an invalid template."""
-
-    def __init__(self, message: str, label: str | None = None, witness=None):
-        super().__init__(message)
-        self.label = label
-        self.witness = witness

@@ -198,25 +198,6 @@ def regular_degree(g: Graph) -> int:
     return degs.pop()
 
 
-def bipartite_min_degree(g: Graph, a: Iterable[int], b: Iterable[int]) -> int | None:
-    """Minimum cross-degree in the bipartite subgraph induced by disjoint a, b.
-
-    The minimum ranges over all of a (counting neighbors in b) and all of b
-    (counting neighbors in a). Returns None if either side is empty.
-    """
-    sa, sb = sorted(set(a)), sorted(set(b))
-    ma, mb = mask_of(sa), mask_of(sb)
-    if ma & mb:
-        raise ValueError("sides of a bipartite query must be disjoint")
-    if (ma | mb) >> g.n:
-        raise ValueError("side contains out-of-range vertices")
-    if not sa or not sb:
-        return None
-    da = min((g.neighbor_mask(v) & mb).bit_count() for v in sa)
-    db = min((g.neighbor_mask(v) & ma).bit_count() for v in sb)
-    return min(da, db)
-
-
 # --- edge-list text format ---------------------------------------------------
 # "N M", then M lines "u v" with 0 <= u < v < N and no pair twice; the line
 # reader states the whole grammar, and the array pass hands it every document

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,30 @@ class TestEmbedVerify:
         with pytest.raises(ValueError):
             certificate_from_json(cert.read_text())
         assert main(argv) == 2
+        assert "error: " in capsys.readouterr().err
+
+    # each of these verified before: the parser kept the last of two entries,
+    # so the bogus first one was never checked
+    @pytest.mark.parametrize("repeat, message", [
+        (lambda doc: json.dumps({**doc, "edge_paths": [
+            {"edge": [0, 1], "vertices": [0, 1]}, *doc["edge_paths"]]}),
+         "lists the edge [0, 1] twice"),
+        (lambda doc: '{"branch_map": [5, 5, 5], ' + json.dumps(doc)[1:],
+         "repeats the key 'branch_map'"),
+    ], ids=["edge-twice", "key-twice"])
+    def test_repeated_entry_usage_error(self, tmp_path, capsys, repeat, message):
+        pattern = complete_graph(3)
+        host = write_instance(tmp_path, "host.txt", complete_graph(6))
+        patt = write_instance(tmp_path, "patt.txt", pattern)
+        good = SubdivisionCertificate(
+            6, pattern, (0, 1, 2), {(0, 1): (0, 3, 1), (0, 2): (0, 4, 2),
+                                    (1, 2): (1, 5, 2)})
+        cert = tmp_path / "cert.json"
+        cert.write_text(repeat(json.loads(certificate_to_json(good))))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            certificate_from_json(cert.read_text())
+        assert main(["verify", "--host", host, "--pattern", patt,
+                     "--cert", str(cert), "--spanning"]) == 2
         assert "error: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [10 ** 20, 2 ** 62])

@@ -10,7 +10,8 @@ from dirac_subdiv import (EmbedConfig, Graph,
                           embed_subdivision, gen_dirac_host,
                           gen_random_regular, gen_two_clique_extremal, glue,
                           HostSpec, PartitionError, verify_certificate)
-from dirac_subdiv.embedder import TemplateCheck
+from dirac_subdiv.embedder import TemplateCheck, _select_connectors_and_branch
+from dirac_subdiv.generators import dirac_degree_bound
 
 from support import complete_minus, path_graph
 
@@ -20,7 +21,32 @@ def template_copy(t, branch=None, connectors=None, blocks=None):
         branch=branch if branch is not None else t.branch,
         connectors=dict(connectors if connectors is not None else t.connectors),
         blocks=dict(blocks if blocks is not None else t.blocks),
-        C=t.C, size_window=t.size_window)
+        size_window=t.size_window)
+
+
+def multipartite_at_bound(N, eps):
+    """The complete multipartite host on N vertices whose parts have at most
+    N - ceil((1+eps)N/2) vertices, randomly relabelled: every vertex has
+    degree at least the bound, and the largest parts' vertices exactly it."""
+    k = N - dirac_degree_bound(N, eps)
+    sizes = [k] * (N // k) + ([N % k] if N % k else [])
+    part = np.random.default_rng(0).permutation(np.repeat(range(len(sizes)), sizes))
+    u, v = np.triu_indices(N, 1)
+    cross = part[u] != part[v]
+    return Graph(N, np.stack([u[cross], v[cross]], axis=1))
+
+
+def spy_hampath(monkeypatch):
+    """Record the `within` set of every Hamilton call the embedder makes."""
+    blocks = []
+    real = embedder.hamilton_path_between
+
+    def spy(g, x, y, **kwargs):
+        blocks.append(kwargs["within"])
+        return real(g, x, y, **kwargs)
+
+    monkeypatch.setattr(embedder, "hamilton_path_between", spy)
+    return blocks
 
 
 class TestBuildTemplate:
@@ -68,6 +94,23 @@ class TestBuildTemplate:
         h = complete_graph(2)
         with pytest.raises(ValueError):
             build_template(g, h, EmbedConfig(epsilon=0.3, C=8, seed=0))
+
+    # multipartite hosts at the degree bound: C=3, the smallest blow-up
+    # constant, and the host of test_counts_match_draws_near_the_cliff
+    @pytest.mark.parametrize("N, n, d", [(72, 8, 3), (768, 16, 4)],
+                             ids=["C3", "multipartite-C12"])
+    def test_selection_on_a_good_partition_cannot_fail(self, N, n, d):
+        # a good partition gives each vertex >= 3d/2 neighbours in every
+        # pattern-neighbour group, but at most d-1 vertices of a group are
+        # taken when a pick is made there, so no pick can run out
+        host, h = multipartite_at_bound(N, 0.25), gen_random_regular(n, d, seed=0)
+        parts = partition.good_partition(host, h, 0.625, 0.125, seed=1).parts
+        branch, connectors = _select_connectors_and_branch(host, h, parts)
+        picks = [*branch, *connectors.values()]
+        assert len(set(picks)) == len(picks) == h.n + 2 * h.edge_count
+        assert all(branch[i] in parts[i] for i in range(h.n))
+        for (i, j), u in connectors.items():
+            assert u in parts[i] and host.has_edge(u, connectors[(j, i)])
 
 
 class TestCheckTemplate:
@@ -130,7 +173,7 @@ class TestCheckTemplate:
         t = Template(branch=(3, 7),
                      connectors={(0, 1): 2, (1, 0): 6},
                      blocks={(0, 1): (0, 1, 2, 3), (1, 0): (4, 5, 6, 7)},
-                     C=4, size_window=(4, 5))
+                     size_window=(4, 5))
         chk = check_template(g, h, t)
         assert not chk.ok and chk.label == "block-min-degree"
 
@@ -140,7 +183,7 @@ class TestCheckTemplate:
         t = Template(branch=(3, 7),
                      connectors={(0, 1): 2, (1, 0): 6},
                      blocks={(0, 1): (0, 1, 2, 3), (1, 0): (4, 5, 6, 7)},
-                     C=4, size_window=(4, 5))
+                     size_window=(4, 5))
         chk = check_template(g, h, t)
         assert not chk.ok and chk.label == "connector-edge"
 
@@ -261,24 +304,27 @@ class TestEmbedSubdivision:
         b = embed_subdivision(g, h, cfg).certificate
         assert certificate_to_json(a) == certificate_to_json(b)
 
-    def test_report_attempt_accounting(self):
+    def test_report_attempt_accounting(self, monkeypatch):
         g = complete_graph(36)
         h = complete_graph(3)
+        calls = spy_hampath(monkeypatch)
         rep = embed_subdivision(g, h, EmbedConfig(epsilon=0.3, C=6, seed=2))
         assert rep.master_attempts_used == 1
-        assert rep.stage_attempts["hampath_calls"] == 2 * h.edge_count
+        assert rep.stage_attempts == {"good_partition": 1, "block_levels": 3}
+        assert len(calls) == 2 * h.edge_count
         assert rep.wall_time_s > 0
 
     def test_near_bound_attempts_never_fail_the_template(self):
-        # the block stage checks the template's block-min-degree bound, so a
-        # block that misses it is re-drawn at its level instead of reaching
-        # check_template and costing a master attempt
+        # the block stage checks the template's block-min-degree bound, so
+        # every template passes check_template (a miss would raise) and only
+        # a partition stage can cost a master attempt
         for seed in range(5):
             host = gen_dirac_host(HostSpec(32, 4, 12, 0.25, seed=seed))
             h = gen_random_regular(32, 4, seed=seed)
             r = embed_subdivision(host, h, EmbedConfig(epsilon=0.25, seed=seed))
             assert r.success
-            assert not [f for f in r.failures if f.split(": ")[1] == "template"]
+            assert {f.split(": ")[1] for f in r.failures} <= {
+                "good-partition", "block-partition"}
 
 
 class TestHamiltonStage:
@@ -306,10 +352,11 @@ class TestHamiltonStage:
         spy(embedder)
         spy(hampath)
         restarts = self.spy_restarts(monkeypatch)
+        calls = spy_hampath(monkeypatch)
         host = gen_dirac_host(HostSpec(8, 3, 12, 0.25, seed=4))
-        r = embed_subdivision(host, gen_random_regular(8, 3, seed=4),
-                              EmbedConfig(epsilon=0.25, seed=4))
-        assert r.success and r.stage_attempts["hampath_calls"] == 8 * 3
+        h = gen_random_regular(8, 3, seed=4)
+        r = embed_subdivision(host, h, EmbedConfig(epsilon=0.25, seed=4))
+        assert r.success and len(calls) == 2 * h.edge_count
         assert restarts == []
         assert 0x01 in tags and 0x11 not in tags and 0x12 not in tags
 
@@ -351,22 +398,16 @@ class TestHamiltonStage:
     def test_blocks_are_paths_of_the_host_rows(self, monkeypatch):
         # the golden certificate's run: no induced graph is built, and each
         # block is one Hamilton call on the host with the block as `within`
-        builds, blocks = [], []
-        real = embedder.hamilton_path_between
-
-        def hampath_spy(g, x, y, **kwargs):
-            blocks.append(kwargs["within"])
-            return real(g, x, y, **kwargs)
-
+        builds = []
         monkeypatch.setattr(embedder, "induced", lambda *a: builds.append(a))
-        monkeypatch.setattr(embedder, "hamilton_path_between", hampath_spy)
+        blocks = spy_hampath(monkeypatch)
         host = gen_dirac_host(HostSpec(4, 3, 12, 0.25, seed=1005))
-        r = embed_subdivision(host, complete_graph(4),
-                              EmbedConfig(0.25, C=12, seed=5))
+        h = complete_graph(4)
+        r = embed_subdivision(host, h, EmbedConfig(0.25, C=12, seed=5))
         text = certificate_to_json(r.certificate)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e96ec15a6c5acc7a"
         assert r.master_attempts_used == 1 and builds == []
-        assert len(blocks) == r.stage_attempts["hampath_calls"] == 4 * 3
+        assert len(blocks) == 2 * h.edge_count
         assert sorted(v for b in blocks for v in b) == sorted(
             [*range(host.n), *r.certificate.branch_map, *r.certificate.branch_map])
 
@@ -411,36 +452,36 @@ class TestAttemptCounts:
         assert not rep.success and rep.failure_stage == "block-partition"
         assert rep.master_attempts_used == 3
         assert len(calls) == 6
-        assert rep.stage_attempts == {"good_partition": 3, "block_levels": 24,
-                                      "hampath_calls": 0}
+        assert rep.stage_attempts == {"good_partition": 3, "block_levels": 24}
 
     def test_forced_template_failure(self, monkeypatch):
-        # both partition stages succeed at their first draw in each of the
-        # three groups; the self-check then rejects the template
-        monkeypatch.setattr(embedder, "check_template",
-                            lambda g, h, t: TemplateCheck(False, "forced", "-"))
-        rep = embed_subdivision(complete_graph(36), complete_graph(3),
-                                EmbedConfig(epsilon=0.3, C=6, seed=2,
-                                            master_attempts=2))
-        assert not rep.success and rep.failure_stage == "template"
-        assert rep.stage_attempts == {"good_partition": 2, "block_levels": 6,
-                                      "hampath_calls": 0}
+        # every template passes check_template by construction, so a failed
+        # check is a bug, not a reason to retry: the first master attempt
+        # raises, naming the label and the witness
+        checked = []
+
+        def forced(g, h, t):
+            checked.append(t)
+            return TemplateCheck(False, "forced", "witness-7")
+
+        monkeypatch.setattr(embedder, "check_template", forced)
+        with pytest.raises(AssertionError, match="forced: witness-7"):
+            embed_subdivision(complete_graph(36), complete_graph(3),
+                              EmbedConfig(epsilon=0.3, C=6, seed=2,
+                                          master_attempts=2))
+        assert len(checked) == 1
 
     def test_counts_match_draws_near_the_cliff(self, monkeypatch):
         # a complete multipartite host at the degree bound (n=16, C=12,
-        # eps=0.25, N=768): parts of 288, 288 and 192 vertices, so every
-        # vertex has degree exactly 480 = ceil((1+eps)N/2). A block of 11
+        # eps=0.25, N=768): parts of 288, 288 and 192 vertices, so the
+        # min degree is exactly 480 = ceil((1+eps)N/2). A block of 11
         # has inner degree >= tau*C = 5.25 only with at most 5 vertices of
         # each part, which the first bisection level can already rule out,
         # so each attempt exhausts the final level of some group, swap
         # repair included. Every draw derives its seed through
         # partition.spawn_seed with a stage tag (0x0A good partition, 0x0B
         # block level), which is tallied here.
-        N = 768
-        part = np.random.default_rng(0).permutation(np.repeat([0, 1, 2], [288, 288, 192]))
-        u, v = np.triu_indices(N, 1)
-        cross = part[u] != part[v]
-        host = Graph(N, np.stack([u[cross], v[cross]], axis=1))
+        host = multipartite_at_bound(768, 0.25)
         pattern = gen_random_regular(16, 4, seed=0)
         real = partition.spawn_seed
         tags = []
@@ -455,8 +496,7 @@ class TestAttemptCounts:
         assert [f.split(": ")[1] for f in rep.failures] == ["block-partition"] * 3
         assert rep.stage_attempts == {
             "good_partition": tags.count(0x0A),
-            "block_levels": tags.count(0x0B),
-            "hampath_calls": 0}
+            "block_levels": tags.count(0x0B)}
         assert rep.stage_attempts["good_partition"] >= 3
         assert rep.stage_attempts["block_levels"] > 3 * 50
 

@@ -3,9 +3,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_subdiv import (Graph, bipartite_min_degree, degree_into,
-                          complete_graph, format_edge_list, induced,
-                          min_degree, parse_edge_list, to_dot)
+from dirac_subdiv import (Graph, degree_into, complete_graph,
+                          format_edge_list, induced, min_degree,
+                          parse_edge_list, to_dot)
 
 from dirac_subdiv.generators import _complement
 from support import cycle_graph, path_graph
@@ -157,26 +157,12 @@ class TestMinDegree:
     def test_empty_graph_flag(self):
         assert min_degree(Graph(0)) is None
 
-    def test_disjoint_triangles_cross(self):
-        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert bipartite_min_degree(g, {0, 1, 2}, {3, 4, 5}) == 0
-
     def test_complete_bipartite(self):
         a, b = {0, 1}, {2, 3, 4}
         g = Graph(5, [(u, v) for u in a for v in b])
-        # oracle: degrees are 3,3 on one side and 2,2,2 on the other
+        # degrees into the other side: 3,3 on one side and 2,2,2 on the other
         degs = [degree_into(g, v, b) for v in a] + [degree_into(g, v, a) for v in b]
         assert sorted(degs) == [2, 2, 2, 3, 3]
-        assert bipartite_min_degree(g, a, b) == 2
-
-    def test_empty_side_flag(self):
-        g = complete_graph(3)
-        assert bipartite_min_degree(g, set(), {0, 1}) is None
-
-    def test_overlapping_sides_rejected(self):
-        g = complete_graph(3)
-        with pytest.raises(ValueError):
-            bipartite_min_degree(g, {0, 1}, {1, 2})
 
 
 class TestInvariants:

@@ -33,13 +33,14 @@ def test_traced_embed_records_its_layers(spans):
     tracer.op = 0
     with spans.installed(tracer):
         # through the module attribute, which is what the harness wraps
-        report = embedder.embed_subdivision(complete_graph(36), complete_graph(3),
+        h = complete_graph(3)
+        report = embedder.embed_subdivision(complete_graph(36), h,
                                             EmbedConfig(epsilon=0.3, C=6, seed=2))
     assert report.success
     metrics = spans.layer_metrics(tracer.spans, [0], 1.0)
     assert metrics["embedder.successes"] == 1
     assert metrics["partition.good_draws"] == report.stage_attempts["good_partition"]
     assert metrics["partition.block_level_draws"] == report.stage_attempts["block_levels"]
-    assert metrics["hampath.calls"] == report.stage_attempts["hampath_calls"]
+    assert metrics["hampath.calls"] == 2 * h.edge_count
     assert metrics["hampath.restarts"] == 0
     assert metrics["hampath.none"] == 0
