@@ -14,12 +14,13 @@ import sys
 from dataclasses import dataclass
 
 from .certificate import certificate_to_json, read_certificate, write_certificate
-from .embedder import EmbedConfig, embed_subdivision
+from .embedder import EmbedConfig, embed_subdivision, stage_thresholds
 from .errors import GenerationError
 from .generators import (HostSpec, complete_graph, gen_dirac_host,
                          gen_random_regular, gen_two_clique_extremal)
 from .graph import (format_edge_list, read_edge_list, regular_degree, to_dot,
                     write_edge_list)
+from .partition import check_blowup
 from .rng import spawn_seed
 from .verifier import verify_certificate
 
@@ -132,10 +133,9 @@ class SweepSpec:
                 raise ValueError(f"cell (n={n}, d={d}) outside generator domain")
             if (n * d) % 2 != 0:
                 raise ValueError(f"cell (n={n}, d={d}): n*d must be even")
-            if C < 3:
-                raise ValueError(f"cell C={C}: need C >= 3")
             if not (0.0 < eps < 1.0):
                 raise ValueError(f"cell epsilon={eps}: need 0 < epsilon < 1")
+            check_blowup(C, *stage_thresholds(eps)[1])
 
     def cells_params(self):
         for n in self.ns:

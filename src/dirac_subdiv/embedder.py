@@ -28,7 +28,7 @@ from .errors import PartitionError
 from .generators import dirac_degree_bound
 # induced is unused here; perfbench/spans.py traces it as embedder.induced
 from .graph import Graph, induced, mask_of, min_degree, regular_degree
-from .partition import block_partition, good_partition
+from .partition import block_partition, check_blowup, good_partition
 from .hampath import hamilton_path_between
 from .rng import spawn_seed
 from .verifier import PathLengthStats, verify_certificate
@@ -118,8 +118,17 @@ class EmbedReport:
         return "\n".join(lines)
 
 
+def stage_thresholds(epsilon: float):
+    """(alpha, delta) of the good partition and of the block partition: the
+    proof chain checks the host's groups at (1+eps)/2 minus eps/2, and each
+    group's blocks at that value minus eps/4."""
+    alpha = (1.0 + epsilon) / 2.0
+    return (alpha, epsilon / 2.0), (alpha - epsilon / 2.0, epsilon / 4.0)
+
+
 def resolve_dimensions(g: Graph, h: Graph, cfg: EmbedConfig):
-    """Derive (n, d, C) from the pattern and the host order."""
+    """Derive (n, d, C) from the pattern and the host order; C must be
+    feasible for the block stage at cfg.epsilon (check_blowup)."""
     n = h.n
     d = regular_degree(h)
     if n < 2 or d < 1:
@@ -129,8 +138,7 @@ def resolve_dimensions(g: Graph, h: Graph, cfg: EmbedConfig):
         raise ValueError(
             f"host order {g.n} must lie in [C*d*n, (C+1)*d*n) = "
             f"[{cfg.C * d * n}, {(cfg.C + 1) * d * n}) for C={cfg.C}")
-    if C < 3:
-        raise ValueError(f"blow-up constant C={C} too small; need C >= 3")
+    check_blowup(C, *stage_thresholds(cfg.epsilon)[1])
     return n, d, C
 
 
@@ -210,9 +218,7 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     if counts is None:
         counts = {"good_partition": 0, "block_levels": 0}
 
-    alpha1 = (1.0 + cfg.epsilon) / 2.0
-    delta1 = cfg.epsilon / 2.0
-    tau1 = alpha1 - delta1
+    (alpha1, delta1), (alpha2, delta2) = stage_thresholds(cfg.epsilon)
     gp = _counted(counts, "good_partition", good_partition,
                   g, h, alpha1, delta1, seed=spawn_seed(seed, 0x21))
 
@@ -225,9 +231,8 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
         bp = _counted(
             counts, "block_levels", block_partition,
             g, gp.parts[i], branch[i], conns,
-            alpha=tau1, delta=cfg.epsilon / 4.0,
+            alpha=alpha2, delta=delta2,
             seed=spawn_seed(seed, 0x22, i),
-            extras=len(gp.parts[i]) % d,
         )
         for k, j in enumerate(nbrs):
             blocks[(i, j)] = tuple(sorted(

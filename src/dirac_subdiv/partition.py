@@ -13,7 +13,8 @@ returns passes the template's block-degree check.
 Both stages are Las Vegas: a candidate partition is checked against the
 required degree thresholds and re-randomized on failure (whole-partition
 retries for the first stage, per-level retries for the second, since each
-bisection level conditions on the previous one). At the final bisection
+bisection level conditions on the previous one). Every bisection level
+checks its draw in one pass over its fresh sibling pairs. At the final
 level a pair of sibling blocks that misses is first repaired by
 deterministic steepest-descent vertex swaps between the two, in the manner
 of Kernighan and Lin, and re-checked; only a pair the repair cannot fix
@@ -50,13 +51,11 @@ class GoodPartition:
     """Groups V_0..V_{n-1} of the host, one per pattern vertex.
 
     The first N mod n groups hold one vertex more than the others.
-    part_size is the common group size, or None when n does not divide the
-    host order N. attempts records how many random equitable partitions
-    were drawn before one passed the degree checks.
+    attempts records how many random equitable partitions were drawn before
+    one passed the degree checks.
     """
 
     parts: tuple[tuple[int, ...], ...]
-    part_size: int | None
     attempts: int
 
 
@@ -179,7 +178,7 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
             pos += size
         worst, slack = _degree_violations(g, pattern_edges, parts, threshold)
         if worst is None:
-            return GoodPartition(tuple(parts), None if rem else base, attempt)
+            return GoodPartition(tuple(parts), attempt)
         if slack < worst_slack:
             worst_slack = slack
             worst_overall = worst
@@ -416,17 +415,32 @@ def _swap_repair(g: Graph, center: int, conns: tuple[int, int],
     return tuple(members[0]), tuple(members[1])
 
 
+def check_blowup(C: int, alpha: float, delta: float) -> None:
+    """ValueError unless blow-up constant C can pass the block stage at
+    threshold tau = alpha - delta < 1 on some host: the last block has C-2
+    vertices, so inner degree at most C-3, and the stage needs tau*C of it.
+    """
+    tau = alpha - delta
+    least = C
+    while least - 3 < tau * least:  # the float test _block_events_violation makes
+        least += 1
+    if least > C:
+        raise ValueError(
+            f"blow-up constant C={C} is infeasible at block threshold {tau:g}: "
+            f"the last block's C-2 vertices have inner degree at most C-3 < "
+            f"{tau:g}*C; the smallest feasible C is {least}")
+
+
 def block_partition(g: Graph, group: Iterable[int], center: int,
                     connectors: Sequence[int], alpha: float, delta: float,
-                    level_budget: int = 50, seed: int = 0,
-                    extras: int = 0) -> BlockPartition:
-    """Split a group of size C*d (+extras) into d verified connector blocks.
+                    level_budget: int = 50, seed: int = 0) -> BlockPartition:
+    """Split a group of C*d + r vertices, 0 <= r < d, into d verified blocks.
 
     The group minus {center} and the d connectors is bisected recursively
     following interval_tree(d): at each level every current set splits
     uniformly at random into two sets whose target sizes are the sums of the
     block sizes below each child interval. Block i ends with C-1 vertices
-    (C-2 for the last block), plus one more for the first `extras` blocks.
+    (C-2 for the last block), plus one more for the first r blocks.
 
     A level is accepted only if every freshly split set S keeps, at
     threshold tau = alpha - delta: induced min degree >= tau*|S| (>= tau*C
@@ -437,16 +451,18 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     block-min-degree check of check_template, labelled "block-ore-degree"
     when it fails.
 
-    At the final level, where every fresh set is a block, the draw is
-    checked one sibling pair at a time. A pair that misses is repaired
-    before another draw: _swap_repair swaps vertices between the two
-    siblings, deterministically and without drawing a seed, and the pair is
-    checked again by the same events. A draw that passes is used untouched.
-    A level whose draw still misses is re-randomized, up to level_budget
-    draws; exhaustion raises PartitionError naming the level and failed
-    event, whose attempts count every level draw of the call (accepted
-    levels included; repairs are not draws). Requires the induced group min
-    degree to be at least alpha*|group|.
+    Every level checks its draw one sibling pair at a time, in order, and
+    the first pair that misses ends the draw. At the final level, where
+    every fresh set is a block, a pair that misses is first repaired:
+    _swap_repair swaps vertices between the two siblings, deterministically
+    and without drawing a seed, and the pair is checked again by the same
+    events. A draw that passes is used untouched. A level whose draw still
+    misses is re-randomized, up to level_budget draws; exhaustion raises
+    PartitionError naming the level and failed event, whose attempts count
+    every level draw of the call (accepted levels included; repairs are not
+    draws). d = 1 draws nothing: the pool is the single block, checked as
+    is. Requires the induced group min degree to be at least alpha*|group|
+    and a feasible C (check_blowup).
     """
     if not (0 < delta < alpha):
         raise ValueError("need 0 < delta < alpha")
@@ -459,105 +475,67 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     d = len(connectors)
     if d < 1:
         raise ValueError("need at least one connector")
-    specials = [center, *connectors]
-    if len(set(specials)) != d + 1:
+    specials = {center, *connectors}
+    if len(specials) != d + 1:
         raise ValueError("center and connectors must be distinct")
     if any(not (gmask >> v & 1) for v in specials):
         raise ValueError("center and connectors must lie inside the group")
-    if extras < 0 or (extras >= d and extras != 0):
-        raise ValueError("extras must satisfy 0 <= extras < d")
-    if (len(group) - extras) % d != 0:
-        raise ValueError(f"group size {len(group)} minus extras {extras} not divisible by {d}")
-    C = (len(group) - extras) // d
-    if C < 3:
-        raise ValueError(f"blow-up constant {C} too small; need C >= 3")
     rows = g.rows
     gmin = min((rows[v] & gmask).bit_count() for v in group)
     if gmin < alpha * len(group) - 1e-9:
         raise ValueError(
             f"group min degree {gmin} below required {alpha * len(group):.3f}")
+    C, extras = divmod(len(group), d)
+    check_blowup(C, alpha, delta)
 
-    sizes = [(C - 1 if ell < d - 1 else C - 2) + (1 if ell < extras else 0)
-             for ell in range(d)]
-    special = set(specials)
-    pool = tuple(v for v in group if v not in special)
-    assert len(pool) == sum(sizes)
-
+    sizes = [(C - 1 if ell < d - 1 else C - 2) + (ell < extras) for ell in range(d)]
+    current = [tuple(v for v in group if v not in specials)]
     threshold = alpha - delta
     tree = interval_tree(d)
-
-    if tree.s == 0:
-        # d == 1: nothing to randomize, the pool is the single block
+    if d == 1:  # the pool is the single block, nothing to draw
         viol = _block_events_violation(
-            g, center, connectors, [(tree.levels[0][0], pool)], threshold, C)
+            g, center, connectors, [(range(1), current[0])], threshold, C)
         if viol is not None:
-            raise PartitionError(
-                f"single-block degree event failed: {viol}",
-                attempts=0, level=0, violation=viol)
-        return BlockPartition(center, tuple(connectors), (pool,), 0)
+            raise PartitionError(f"single-block degree event failed: {viol}",
+                                 attempts=0, level=0, violation=viol)
 
-    def span_size(iv: range) -> int:
-        return sum(sizes[ell] for ell in iv)
-
-    current = [pool]
     total_attempts = 0
     for level in range(1, tree.s + 1):
-        parents = tree.levels[level - 1]
         children = tree.levels[level]
-        # align children with their parents positionally
-        kid_groups = []
-        k = 0
-        for pr in parents:
-            kids = []
-            while k < len(children) and children[k].stop <= pr.stop:
-                kids.append(children[k])
-                k += 1
-            kid_groups.append(kids)
-        last_viol = None
         for attempt in range(1, level_budget + 1):
             rng = make_rng(spawn_seed(seed, 0x0B, level, attempt))
-            new_sets = []
-            fresh = []
-            for pr, pset, kids in zip(parents, current, kid_groups):
+            sets, pairs = [], []  # sets[k] is children[k]'s set; pairs slice fresh siblings
+            for parent, pset in zip(tree.levels[level - 1], current):
+                kids = [iv for iv in children if iv.start in parent]
                 if len(kids) == 1:
-                    new_sets.append(pset)  # singleton carried, already checked
+                    sets.append(pset)  # singleton carried, already checked
                     continue
-                left_size = span_size(kids[0])
+                cut = sum(sizes[ell] for ell in kids[0])
                 perm = rng.permutation(len(pset)).tolist()
-                left = tuple(sorted(pset[i] for i in perm[:left_size]))
-                right = tuple(sorted(pset[i] for i in perm[left_size:]))
-                new_sets.extend((left, right))
-                fresh.extend(((kids[0], left), (kids[1], right)))
-            # the final level, where fresh holds sibling blocks side by side
-            # and new_sets[l] is block l, is checked one pair at a time; a
-            # pair that misses is repaired by swaps and checked again
-            step = 2 if level == tree.s else len(fresh)
-            for i in range(0, len(fresh), step):
-                sets = fresh[i:i + step]
-                last_viol = _block_events_violation(
-                    g, center, connectors, sets, threshold, C)
-                if last_viol is not None and level == tree.s:
-                    (lk, left), (rk, right) = sets
-                    left, right = _swap_repair(
-                        g, center, (connectors[lk.start], connectors[rk.start]),
-                        (left, right), threshold, C)
-                    sets = [(lk, left), (rk, right)]
-                    new_sets[lk.start], new_sets[rk.start] = left, right
-                    last_viol = _block_events_violation(
-                        g, center, connectors, sets, threshold, C)
-                if last_viol is not None:
+                pairs.append(slice(len(sets), len(sets) + 2))
+                sets += (tuple(sorted(pset[i] for i in perm[:cut])),
+                         tuple(sorted(pset[i] for i in perm[cut:])))
+            for pair in pairs:
+                viol = _block_events_violation(
+                    g, center, connectors, [*zip(children[pair], sets[pair])], threshold, C)
+                if viol is not None and level == tree.s:
+                    # final level: children[k] is block k, whose connector is connectors[k]
+                    sets[pair] = _swap_repair(g, center, tuple(connectors[pair]),
+                                              tuple(sets[pair]), threshold, C)
+                    viol = _block_events_violation(
+                        g, center, connectors, [*zip(children[pair], sets[pair])], threshold, C)
+                if viol is not None:
                     break
-            if last_viol is None:
-                current = new_sets
+            if viol is None:
+                current = sets
                 total_attempts += attempt
                 break
         else:
             raise PartitionError(
                 f"level {level} degree events failed {level_budget} times; "
-                f"last violation: {last_viol}",
+                f"last violation: {viol}",
                 attempts=total_attempts + level_budget, level=level,
-                violation=last_viol)
+                violation=viol)
 
-    blocks = tuple(current)
-    assert [len(b) for b in blocks] == sizes
-    return BlockPartition(center, tuple(connectors), blocks, total_attempts)
+    assert [len(b) for b in current] == sizes
+    return BlockPartition(center, tuple(connectors), tuple(current), total_attempts)

@@ -215,6 +215,50 @@ class TestEmbedVerify:
                      "--cert", str(cert), "--spanning"]) == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"a": ' * 100000],
+                             ids=["array", "object"])
+    def test_deep_nesting_usage_error(self, tmp_path, capsys, text):
+        # json.loads raised RecursionError here, a traceback and exit 1
+        host = write_instance(tmp_path, "host.txt", complete_graph(4))
+        patt = write_instance(tmp_path, "patt.txt", complete_graph(2))
+        cert = tmp_path / "cert.json"
+        cert.write_text(text)
+        with pytest.raises(ValueError, match="nests too deeply"):
+            certificate_from_json(text)
+        assert main(["verify", "--host", host, "--pattern", patt,
+                     "--cert", str(cert)]) == 2
+        assert "error: certificate nests too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("C, epsilon", [(4, "0.1"), (5, "0.1")])
+    def test_infeasible_blowup_usage_error(self, tmp_path, capsys, monkeypatch,
+                                           C, epsilon):
+        # the last block's C-2 vertices have inner degree <= C-3 < tau*C with
+        # tau = 1/2 - eps/4, so even a complete host failed every draw
+        from dirac_subdiv import partition
+
+        def no_draw(seed):
+            raise AssertionError("drew a partition")
+
+        monkeypatch.setattr(partition, "make_rng", no_draw)
+        host = write_instance(tmp_path, "host.txt", complete_graph(6 * C))
+        patt = write_instance(tmp_path, "patt.txt", complete_graph(3))
+        rc = main(["embed", "--host", host, "--pattern", patt,
+                   "--epsilon", epsilon, "--C", str(C)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: blow-up constant C={C} is infeasible" in err
+        assert "the smallest feasible C is 6" in err
+
+    def test_smallest_blowup_at_large_epsilon(self, tmp_path):
+        # at eps = 0.5, tau = 3/8 and C = 5 meets C-3 >= tau*C
+        host = write_instance(tmp_path, "host.txt", complete_graph(30))
+        patt = write_instance(tmp_path, "patt.txt", complete_graph(3))
+        cert = str(tmp_path / "cert.json")
+        assert main(["embed", "--host", host, "--pattern", patt,
+                     "--epsilon", "0.5", "--C", "5", "--out", cert]) == 0
+        assert main(["verify", "--host", host, "--pattern", patt,
+                     "--cert", cert, "--spanning"]) == 0
+
     @pytest.mark.parametrize("n", [10 ** 20, 2 ** 62])
     def test_huge_vertex_count_usage_error(self, tmp_path, capsys, n):
         pattern = complete_graph(2)
@@ -313,6 +357,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(kinds=("weird",), ns=(3,), ds=(2,), Cs=(6,),
                       epsilons=(0.3,), trials=1)
+
+    def test_infeasible_blowup_rejected(self):
+        with pytest.raises(ValueError, match="smallest feasible C is 6"):
+            SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(5,),
+                      epsilons=(0.5, 0.1), trials=1)
+        SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(5,),
+                  epsilons=(0.5,), trials=1)
 
     def test_cli_sweep_writes_csv(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")

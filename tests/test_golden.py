@@ -2,11 +2,15 @@
 release. Each value is sha256(text)[:16] of the document as first written."""
 
 import hashlib
+import random
 
-from dirac_subdiv import (EmbedConfig, HostSpec, certificate_to_json,
-                          complete_graph, embed_subdivision, format_edge_list,
-                          gen_dirac_host, gen_random_regular, parse_edge_list)
+from dirac_subdiv import (EmbedConfig, HostSpec, PartitionError,
+                          block_partition, certificate_to_json, complete_graph,
+                          embed_subdivision, format_edge_list, gen_dirac_host,
+                          gen_random_regular, min_degree, parse_edge_list)
 from dirac_subdiv.cli import SweepSpec, run_sweep
+
+from support import random_gnp
 
 
 def digest(text: str) -> str:
@@ -38,6 +42,31 @@ def test_certificate_non_divisible_order():
     report = embed_subdivision(complete_graph(40), complete_graph(3),
                                EmbedConfig(0.3, C=6, seed=5))
     assert digest(certificate_to_json(report.certificate)) == "37cfbdb25ab8f8e4"
+
+
+def test_block_partition_outcomes():
+    # G(N, 0.8) groups at tau = 7/16 for d = 1..8, C = 12 and 16, and
+    # remainders 0 and d-1: blocks and level draws of every success, and
+    # message, draws, level and violation of every PartitionError. d = 3, 5,
+    # 6 and 7 carry singletons through a level; levels 0, 1 and 2 each
+    # exhaust their budget somewhere in the grid.
+    outcomes = []
+    for C in (12, 16):
+        for d in range(1, 9):
+            for rem in sorted({0, d - 1}):
+                for seed in range(3):
+                    N = C * d + rem
+                    g = random_gnp(N, 0.8, random.Random(1000 * d + 10 * rem + seed))
+                    alpha = min_degree(g) / N
+                    try:
+                        bp = block_partition(g, range(N), 0, list(range(1, d + 1)),
+                                             alpha=alpha, delta=alpha - 0.4375,
+                                             level_budget=4, seed=seed)
+                        outcomes.append((bp.blocks, bp.attempts))
+                    except PartitionError as err:
+                        outcomes.append((str(err), err.attempts, err.level,
+                                         err.violation))
+    assert digest(repr(outcomes)) == "3892c25cfc4071d5"
 
 
 def test_pattern_edge_list():

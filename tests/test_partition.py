@@ -133,7 +133,6 @@ class TestGoodPartition:
         h = complete_graph(3)
         gp = good_partition(g, h, alpha=0.7, delta=0.2, budget=10, seed=3)
         assert gp.attempts == 1
-        assert gp.part_size == C * d
         assert is_good_partition(g, h, gp.parts, threshold=0.5).ok
 
     def test_non_divisible_order_is_equitable(self):
@@ -141,7 +140,6 @@ class TestGoodPartition:
         h = complete_graph(3)
         gp = good_partition(g, h, alpha=0.7, delta=0.2, budget=10, seed=3)
         assert [len(p) for p in gp.parts] == [9, 8, 8]
-        assert gp.part_size is None
         assert is_good_partition(g, h, gp.parts, threshold=0.5).ok
 
     def test_non_equitable_split_is_rejected(self):
@@ -303,11 +301,20 @@ class TestBlockPartition:
             block_partition(g, range(16), 0, [1, 1], alpha=0.7, delta=0.2)
         with pytest.raises(ValueError):  # center outside group
             block_partition(g, range(8), 9, [1], alpha=0.7, delta=0.2)
-        with pytest.raises(ValueError):  # group size not divisible by d
-            block_partition(g, range(15), 0, [1, 2], alpha=0.7, delta=0.2)
         low = gen_two_clique_extremal(8)
         with pytest.raises(ValueError):  # group min degree below alpha
             block_partition(low, range(16), 0, [1, 8], alpha=0.6, delta=0.1)
+
+    @pytest.mark.parametrize("C, delta, least", [(4, 0.05, 6), (5, 0.05, 6),
+                                                  (3, 0.15, 5)])
+    def test_infeasible_blowup_rejected(self, C, delta, least):
+        # tau = 0.5 - delta: the last block's C-2 vertices have inner degree
+        # <= C-3 < tau*C on every host, even a complete one, until C = least
+        with pytest.raises(ValueError, match=f"smallest feasible C is {least}$"):
+            block_partition(complete_graph(2 * C), range(2 * C), 0, [1, 2],
+                            alpha=0.5, delta=delta)
+        block_partition(complete_graph(2 * least), range(2 * least), 0, [1, 2],
+                        alpha=0.5, delta=delta)
 
 
 def ore_bound_holds(g, bp):
@@ -335,8 +342,7 @@ class TestBlockOreBound:
                 alpha = min_degree(g) / N
                 try:
                     bp = block_partition(g, range(N), 0, list(range(1, d + 1)),
-                                         alpha=alpha, delta=0.2, seed=seed,
-                                         extras=extras)
+                                         alpha=alpha, delta=0.2, seed=seed)
                 except PartitionError:
                     continue
                 returned += 1
