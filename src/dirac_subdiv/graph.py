@@ -39,8 +39,8 @@ class Graph:
         if uv.size and (uv.ndim != 2 or uv.shape[1] != 2):
             raise ValueError("edges must be (u, v) pairs")
         u, v = uv.reshape(-1, 2).T
-        out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        if out.any():
+        if uv.size and (uv.min() < 0 or uv.max() >= n):  # the masks name the first offender
+            out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
             raise _out_of_range(u[out.argmax()], v[out.argmax()], n)
         if (u == v).any():
             raise ValueError(f"self-loop at vertex {u[(u == v).argmax()]}")
@@ -201,7 +201,8 @@ def regular_degree(g: Graph) -> int:
 # --- edge-list text format ---------------------------------------------------
 # "N M", then M lines "u v" with 0 <= u < v < N and no pair twice; the line
 # reader states the whole grammar, and the array pass hands it every document
-# it does not accept. The writer emits "N M\n", then "u v\n" per edge, sorted.
+# it does not accept. The writer's spelling, "N M\n" then "u v\n" per edge, is
+# checked by its separators alone, and any other by a per-byte class pass.
 
 _CLASS = np.full(256, 3, np.uint8)  # 0 separator, 1 line end, 2 digit, 3 other
 _CLASS[[ord(" "), ord("\t")]] = 0
@@ -230,17 +231,15 @@ def parse_edge_list(text: str) -> Graph:
 
 def _array_pass(text: str) -> Graph | None:
     """Graph of a faultless document of digits, spaces, tabs and line ends, else None."""
-    cls = _CLASS[np.frombuffer(text.encode("ascii", "replace"), np.uint8)]
-    if (cls == 3).any():  # "?" stands in for each non-ASCII character
+    enc = text.encode("ascii", "replace")  # "?" stands in for each non-ASCII character
+    seps = enc.translate(None, b"0123456789")
+    own = seps == b" \n" * (len(seps) // 2)  # the writer's spelling
+    if not (own or _two_tokens_per_line(enc)):
         return None
-    digit = cls == 2
-    # a 1 per line end and a 2 per token start, in document order
-    marks = cls[(cls == 1) | (digit & np.diff(digit, prepend=False))]
-    del cls, digit  # free before the values are read: the peak stays low
-    per_line = np.diff(np.flatnonzero(marks == 1), prepend=-1, append=len(marks)) - 1
-    if not ((per_line == 0) | (per_line == 2)).all():  # each line holds 0 or 2 tokens
+    values = np.fromstring(enc, np.int64, sep=" ")  # [0] for blank text
+    # one value per separator, and none after the last: no token is empty
+    if own and (len(values) != len(seps) or not enc.endswith(b"\n")):
         return None
-    values = np.fromstring(text, np.int64, sep=" ")  # [0] for blank text
     if len(values) < 2 or values.max() == np.iinfo(np.int64).max:  # the overflow value
         return None
     n, m = values[:2].tolist()
@@ -252,6 +251,18 @@ def _array_pass(text: str) -> Graph | None:
     except ValueError:  # an id out of range, or a vertex count too large to hold
         return None
     return g if g.edge_count == m else None
+
+
+def _two_tokens_per_line(enc: bytes) -> bool:
+    """Whether every byte is a digit, space, tab or line end and each line holds 0 or 2 tokens."""
+    cls = _CLASS[np.frombuffer(enc, np.uint8)]
+    if (cls == 3).any():
+        return False
+    digit = cls == 2
+    # a 1 per line end and a 2 per token start, in document order
+    marks = cls[(cls == 1) | (digit & np.diff(digit, prepend=False))]
+    per_line = np.diff(np.flatnonzero(marks == 1), prepend=-1, append=len(marks)) - 1
+    return bool(((per_line == 0) | (per_line == 2)).all())
 
 
 def _read_lines(text: str) -> Graph:

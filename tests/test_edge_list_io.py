@@ -142,13 +142,18 @@ class TestConstruction:
         assert g.edge_count == 1 and g.neighbors(999_999) == (0,)
 
 
+def sampled_graph(n: int) -> Graph:
+    """G(n, 0.3) drawn from seed n."""
+    rng = np.random.default_rng(n)
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < 0.3
+    return Graph(n, np.column_stack((iu[keep], iv[keep])))
+
+
 class TestFormat:
     @pytest.mark.parametrize("n", [0, 1, 9, 10, 65, 100, 1000])
     def test_matches_line_by_line_formatter(self, n):
-        rng = np.random.default_rng(n)
-        iu, iv = np.triu_indices(n, k=1)
-        keep = rng.random(len(iu)) < 0.3
-        g = Graph(n, np.column_stack((iu[keep], iv[keep])))
+        g = sampled_graph(n)
         text = format_edge_list(g)
         assert text == reference_format(g)
         assert parse_edge_list(text) == g
@@ -175,6 +180,46 @@ class TestArrayPass:
                  for ln in format_edge_list(g).splitlines()]
         text = "\r\n\r\n".join(lines[:3]) + " \t\n\r" + "\r\n".join(lines[3:])
         assert parse_edge_list(text) == g
+
+
+class TestWriterSpelling:
+    """Documents in the writer's own spelling ("N M\\n", then "u v\\n" per
+    line) are read by a separator check, never by the byte-class pass."""
+
+    @pytest.fixture(autouse=True)
+    def no_class_pass(self, monkeypatch):
+        class Refuse:
+            def __getitem__(self, index):
+                raise AssertionError("document ran the class pass")
+        monkeypatch.setattr(graph, "_CLASS", Refuse())
+
+    @pytest.mark.parametrize("n, d", [(4, 3), (8, 3), (10, 4)])
+    def test_cli_pipeline_hosts(self, n, d):
+        g = gen_dirac_host(HostSpec(n, d, 12, 0.25, seed=5))
+        assert parse_edge_list(format_edge_list(g)) == g
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 65, 100, 1000])
+    def test_format_sizes(self, n):
+        g = sampled_graph(n)
+        assert parse_edge_list(format_edge_list(g)) == g
+
+    @pytest.mark.parametrize("text", [
+        "2 1\n0 1\n",    # valid
+        "2 \n1 0\n",     # an empty token
+        "2 1\n0 1\n5",   # a trailing token
+        "3 \n1 0\n2",    # an empty and a trailing token: the count alone matches
+        " 1\n0 1\n",     # an empty first token
+        "3 1\n0 \n",     # an empty last token
+        " \n",           # no tokens
+        "02 1\n00 01\n", # leading zeros
+        "2 1\n1 0\n",    # u > v
+        "2 1\n0 2\n",    # an id out of range
+        "3 2\n0 1\n0 1\n",  # a repeated pair
+    ])
+    def test_alternating_separators_match_reference(self, text):
+        expected = outcome(reference_parse, text)
+        got = outcome(parse_edge_list, text)
+        assert got is ValueError if expected is ValueError else got == expected
 
 
 def test_parse_memory_stays_linear():
