@@ -3,7 +3,7 @@
 Subcommands: gen (write instance graphs), embed (run the pipeline and write
 a certificate), verify (check a certificate), sweep (success-rate grid
 experiments). Exit codes: 0 success, 1 verified failure (embedding failed
-or certificate rejected), 2 usage error.
+or certificate rejected), 2 usage error (out of memory included).
 """
 
 from __future__ import annotations
@@ -167,9 +167,7 @@ def _sweep_trial(kind: str, n: int, d: int, C: int, eps: float, seed: int) -> di
     try:
         if kind == "complete":
             host = complete_graph(N)
-        elif kind == "two-clique":
-            if N % 2 != 0:
-                raise GenerationError(f"two-clique host needs even order, got {N}")
+        elif kind == "two-clique":  # SweepSpec makes n*d, so N, even
             host = gen_two_clique_extremal(N // 2)
         else:
             host = gen_dirac_host(HostSpec(n, d, C, eps, seed))
@@ -342,8 +340,8 @@ def main(argv=None) -> int:
         return int(e.code) if e.code is not None else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, GenerationError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError, GenerationError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -11,11 +11,12 @@ reported; a success report never carries an unverified certificate.
 
 Randomness is Las Vegas throughout: every template stage checks its own
 output and the whole pipeline retries with a fresh derived seed when a
-partition stage runs out of draws or the final verification fails. Only
-the template is random, and the connector and branch picks between the
-two partition stages are deterministic and cannot fail.
+partition stage runs out of draws. Only the template is random, and the
+connector and branch picks between the two partition stages are
+deterministic and cannot fail.
 Every block meets Ore's bound, so the Hamilton stage builds its paths
-deterministically, draws no seed and cannot fail.
+deterministically, draws no seed and cannot fail, and the glued
+certificate always verifies: a rejected one is a bug, not a retry.
 """
 
 from __future__ import annotations
@@ -361,10 +362,11 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
     """Run the full pipeline and return a report (with certificate on success).
 
     Input shape problems (non-regular pattern, order mismatch) raise
-    ValueError. Everything else, including a host that simply is not dense
-    enough, is reported as a failed run: the report carries the failing
-    stage and per-stage attempt counts. A success report's certificate has
-    been verified spanning before being returned.
+    ValueError. A host that is not dense enough, or partition stages out of
+    draws in every master attempt, give a failed report naming the stage. A
+    success report's certificate has been verified spanning; a failed
+    verification is a bug and raises AssertionError naming the checks, by
+    an explicit raise that python -O keeps.
     """
     t0 = time.perf_counter()
     n, d, C = resolve_dimensions(g, h, cfg)
@@ -382,7 +384,7 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
 
     md = min_degree(g)
     bound = dirac_degree_bound(N, cfg.epsilon)
-    if md is None or md < bound:
+    if md < bound:
         return report(False, 0, stage="precondition",
                       detail=f"host min degree {md} below required {bound}")
 
@@ -391,8 +393,8 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
         try:
             template = build_template(g, h, cfg, seed=seed_a, counts=attempts)
         except PartitionError as e:
-            last_stage = "good-partition" if e.level is None else "block-partition"
-            failures.append(f"attempt {master}: {last_stage}: {e}")
+            stage = "good-partition" if e.level is None else "block-partition"
+            failures.append(f"attempt {master}: {stage}: {e}")
             continue
 
         half_paths: dict[tuple[int, int], list[int]] = {}
@@ -412,9 +414,8 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
             host_vertex_count=g.n, pattern=h,
             branch_map=template.branch, edge_paths=edge_paths)
         vr = verify_certificate(g, h, cert, require_spanning=True)
-        if vr.ok:
-            return report(True, master, stats=vr.length_stats, cert=cert)
-        last_stage = "verification"
-        failures.append(f"attempt {master}: verification: {vr.failed()}")
+        if not vr.ok:
+            raise AssertionError(f"certificate failed verification: {vr.failed()}")
+        return report(True, master, stats=vr.length_stats, cert=cert)
 
-    return report(False, cfg.master_attempts, stage=last_stage, detail=failures[-1])
+    return report(False, cfg.master_attempts, stage=stage, detail=failures[-1])

@@ -2,11 +2,9 @@
 
 
 class GenerationError(RuntimeError):
-    """A generator exhausted its retry budget without meeting its postcondition."""
-
-    def __init__(self, message: str, attempts: int = 0):
-        super().__init__(message)
-        self.attempts = attempts
+    """A generator could not meet its postcondition: the random-regular
+    sampler ran out of restarts, or the one host sample missed its degree
+    bound."""
 
 
 class PartitionError(RuntimeError):

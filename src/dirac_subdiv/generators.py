@@ -2,8 +2,8 @@
 
 All generators are pure functions of their parameters and seed: the same
 seed yields the same graph, byte-for-byte in edge-list serialization.
-Randomized generators verify their own postconditions and retry, so a
-returned graph always satisfies the advertised guarantee.
+Randomized generators verify their own postconditions, so a returned graph
+always satisfies the advertised guarantee; only the pattern sampler retries.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import GenerationError
 from .graph import Graph, min_degree, pack_rows
 from .rng import make_rng, spawn_seed
 
-DIRAC_HOST_ATTEMPTS = 50
 REGULAR_ATTEMPTS = 200
 
 
@@ -91,23 +90,23 @@ def _sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
 def gen_dirac_host(spec: HostSpec) -> Graph:
     """Random host on N = C*d*n vertices with min degree >= (1+eps)*N/2.
 
-    Samples G(N, p) at p = min(1, (1+eps)/2 + 3*sqrt(ln N / N)), checks the
-    degree bound, and retries with fresh derived seeds. The bound is checked
-    on the returned graph, never assumed.
+    Draws one sample of G(N, p) at p = min(1, (1+eps)/2 + 3*sqrt(ln N / N))
+    and checks the degree bound on it, never assuming it. A redraw cannot
+    help: at p = 1 every sample is K_N, and p < 1 needs N >= 189, where
+    Hoeffding's inequality with a union bound over the N vertices puts the
+    chance that a sample misses the bound at most 1e-38. Raises
+    GenerationError on a miss, which in practice means a bound above N - 1.
     """
     N = spec.N
     bound = dirac_degree_bound(N, spec.epsilon)
     p = min(1.0, (1.0 + spec.epsilon) / 2.0 + 3.0 * math.sqrt(math.log(N) / N))
-    for attempt in range(1, DIRAC_HOST_ATTEMPTS + 1):
-        g = _sample_gnp(N, p, make_rng(spawn_seed(spec.seed, 0x05, attempt)))
-        md = min_degree(g)
-        if md is not None and md >= bound:
-            return g
-    raise GenerationError(
-        f"no G({N},{p:.4f}) sample reached min degree {bound} "
-        f"in {DIRAC_HOST_ATTEMPTS} attempts; parameters too tight",
-        attempts=DIRAC_HOST_ATTEMPTS,
-    )
+    g = _sample_gnp(N, p, make_rng(spawn_seed(spec.seed, 0x05, 1)))
+    md = min_degree(g)
+    if md < bound:
+        raise GenerationError(
+            f"G({N},{p:.4f}) sample has min degree {md}, below the required "
+            f"{bound}; parameters too tight")
+    return g
 
 
 def _complement(g: Graph) -> Graph:
@@ -149,6 +148,4 @@ def gen_random_regular(n: int, d: int, seed: int = 0) -> Graph:
             return g
     raise GenerationError(
         f"configuration model found no simple {d}-regular graph on {n} "
-        f"vertices in {REGULAR_ATTEMPTS} restarts",
-        attempts=REGULAR_ATTEMPTS,
-    )
+        f"vertices in {REGULAR_ATTEMPTS} restarts")

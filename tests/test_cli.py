@@ -70,6 +70,29 @@ class TestGen:
                      "--out", str(tmp_path / "m.txt")]) == 0
         assert "warning" in capsys.readouterr().err
 
+    def test_infeasible_dirac_bound_usage_error(self, capsys):
+        # the bound ceil(1.99 * 144 / 2) = 144 is above every degree of K_144
+        assert main(["gen", "--kind", "dirac", "--n", "4", "--d", "3",
+                     "--C", "12", "--epsilon", "0.99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: G(144,1.0000) sample has min degree 143")
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 9.31 GiB for an array", "Unable to allocate 9.31 GiB"),
+        ("", "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_usage_error(self, capsys, monkeypatch, message, shown):
+        # exit 1 means a verified failure; running out of memory is not one
+        import dirac_subdiv.cli as cli
+
+        def refuse(n):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "complete_graph", refuse)
+        assert main(["gen", "--kind", "complete", "--n", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {shown}") and "Traceback" not in err
+
 
 class TestEmbedVerify:
     def test_end_to_end(self, tmp_path, capsys):

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,6 +474,54 @@ class TestAttemptCounts:
                               EmbedConfig(epsilon=0.3, C=6, seed=2,
                                           master_attempts=2))
         assert len(checked) == 1
+
+    def test_rejected_certificate_is_an_error(self, monkeypatch):
+        # a certificate glued from a checked template always verifies, so
+        # a rejection is a bug, not a reason to retry: the first master
+        # attempt raises, naming the failed check
+        real = embedder.verify_certificate
+        verified = []
+
+        def reject(*args, **kwargs):
+            verified.append(kwargs)
+            vr = real(*args, **kwargs)
+            vr.checks.append(("forced-check", False, None))
+            return vr
+
+        monkeypatch.setattr(embedder, "verify_certificate", reject)
+        with pytest.raises(AssertionError, match="forced-check"):
+            embed_subdivision(complete_graph(36), complete_graph(3),
+                              EmbedConfig(epsilon=0.3, C=6, seed=2,
+                                          master_attempts=3))
+        assert verified == [{"require_spanning": True}]
+
+    def test_rejected_certificate_raises_under_optimize(self):
+        # python -O strips assert statements, the template and path checks
+        # among them; the verification gate must still stop the report
+        script = (
+            "from dirac_subdiv import EmbedConfig, complete_graph, embedder\n"
+            "real = embedder.verify_certificate\n"
+            "def reject(*args, **kwargs):\n"
+            "    vr = real(*args, **kwargs)\n"
+            "    vr.checks.append(('forced-check', False, None))\n"
+            "    return vr\n"
+            "embedder.verify_certificate = reject\n"
+            "assert False, 'assert statements are live'\n"
+            "try:\n"
+            "    rep = embedder.embed_subdivision(\n"
+            "        complete_graph(36), complete_graph(3),\n"
+            "        EmbedConfig(epsilon=0.3, C=6, seed=2, master_attempts=3))\n"
+            "except AssertionError as e:\n"
+            "    print('raised:', e)\n"
+            "else:\n"
+            "    print('reported:', rep.success, rep.failure_stage)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-O", "-c", script],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("raised: ") and "forced-check" in done.stdout
 
     def test_counts_match_draws_near_the_cliff(self, monkeypatch):
         # a complete multipartite host at the degree bound (n=16, C=12,

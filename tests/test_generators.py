@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dirac_subdiv import generators
 from dirac_subdiv import (GenerationError, Graph, HostSpec, complete_graph,
                           format_edge_list, gen_dirac_host, gen_random_regular,
                           gen_two_clique_extremal, min_degree)
@@ -140,6 +141,31 @@ class TestDiracHost:
         b = gen_dirac_host(spec)
         assert format_edge_list(a) == format_edge_list(b)
 
+    def test_one_sample_per_call(self, monkeypatch):
+        # at p = 1 every sample is K_N, and at p < 1 a miss has probability
+        # below 1e-38, so a second sample could not help
+        ps = []
+        real = generators._sample_gnp
+
+        def spy(n, p, rng):
+            ps.append(p)
+            return real(n, p, rng)
+
+        monkeypatch.setattr(generators, "_sample_gnp", spy)
+        for spec, p_is_one in [(HostSpec(n=4, d=3, C=12, epsilon=0.25), True),
+                               (HostSpec(n=10, d=4, C=12, epsilon=0.25), False)]:
+            ps.clear()
+            g = gen_dirac_host(spec)
+            assert len(ps) == 1 and (ps[0] == 1.0) == p_is_one
+            assert min_degree(g) >= dirac_degree_bound(spec.N, spec.epsilon)
+        # bound ceil(1.99 * 144 / 2) = 144: no 144-vertex graph has it
+        ps.clear()
+        spec = HostSpec(n=4, d=3, C=12, epsilon=0.99)
+        assert dirac_degree_bound(spec.N, spec.epsilon) == 144
+        with pytest.raises(GenerationError, match="min degree 143"):
+            gen_dirac_host(spec)
+        assert ps == [1.0]
+
 
 class TestSampleGnp:
     @staticmethod
@@ -167,7 +193,3 @@ class TestSampleGnp:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
 
-
-def test_generation_error_carries_attempts():
-    err = GenerationError("nope", attempts=7)
-    assert err.attempts == 7
