@@ -6,19 +6,17 @@ is at least (|S|+1)/2 (Ore's bound, which every block of an embedding
 template meets) the path always exists, and it is built deterministically
 by Ore's proof read as an algorithm: close the gaps of one fixed vertex
 cycle by segment reversals (Palmer 1997). That only tests adjacency, so it
-reads the host's own bitmask rows and builds no induced graph. Every other
-set gets rotation-extension with seeded random restarts on its induced
-graph: grow a path from the fixed endpoint x by random greedy extension,
-and when stuck, rotate the free endpoint along chords, holding the target
-y in reserve until only it remains. The exact subset dynamic program below
-settles (finds or certifies absent) what the restarts miss whenever the
-graph is small enough for it.
+reads the host's own bitmask rows and builds no induced graph. A set that
+misses the bound gets the exact subset dynamic program (Held & Karp 1962)
+on its induced graph, which finds the path or proves there is none; it is
+limited to EXACT_THRESHOLD vertices, and a larger such set is a ValueError.
 """
 
 from __future__ import annotations
 
 from .graph import Graph, bits, induced, mask_of
-from .rng import make_rng, spawn_seed
+# spawn_seed is unused here; perfbench/spans.py traces it as hampath.spawn_seed
+from .rng import spawn_seed
 
 EXACT_THRESHOLD = 20
 BRUTE_FORCE_LIMIT = 12
@@ -74,48 +72,6 @@ def _ore_path(rows, vertices, x: int, y: int) -> list[int]:
     return c
 
 
-def _rotation_restart(g: Graph, x: int, y: int, rng) -> list[int] | None:
-    """One restart of greedy extension + rotation. None if it stalls."""
-    n = g.n
-    path = [x]
-    on_path = 1 << x
-    endpoint_seen = {x}
-    steps = 0
-    cap = 4 * n * n + 16
-    while steps < cap:
-        steps += 1
-        e = path[-1]
-        if len(path) == n - 1 and g.has_edge(e, y):
-            path.append(y)
-            return path
-        ext = list(bits(g.neighbor_mask(e) & ~on_path & ~(1 << y)))
-        if ext:
-            u = ext[int(rng.integers(len(ext)))]
-            path.append(u)
-            on_path |= 1 << u
-            endpoint_seen = {u}
-            continue
-        # rotate: chord from the free endpoint to path[i] makes path[i+1]
-        # the new endpoint; prefer endpoints with many unvisited neighbors
-        unvisited = g.full_mask() & ~on_path
-        best = None
-        emask = g.neighbor_mask(e)
-        for i in range(len(path) - 2):
-            if emask >> path[i] & 1:
-                cand = path[i + 1]
-                if cand in endpoint_seen:
-                    continue
-                key = (-(g.neighbor_mask(cand) & unvisited).bit_count(), cand)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            return None
-        i = best[1]
-        path[i + 1:] = reversed(path[i + 1:])
-        endpoint_seen.add(path[-1])
-    return None
-
-
 def _exact_path(g: Graph, x: int, y: int) -> list[int] | None:
     """Subset DP: endpoints[mask] = bitmask of vertices v such that some
     x-path covers exactly mask and ends at v. y is kept out of the DP and
@@ -152,7 +108,7 @@ def _exact_path(g: Graph, x: int, y: int) -> list[int] | None:
 def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
                           seed: int = 0, return_stats: bool = False,
                           within=None):
-    """Hamilton x,y-path of g, or None if there is none (or none was found).
+    """Hamilton x,y-path of g, or None if there is none.
 
     With `within`, a set of vertex ids of g holding x and y, the path runs
     through exactly that set, in the subgraph it induces, and is given in
@@ -162,53 +118,40 @@ def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
     all of g, whose induced graph is g itself under the identity relabelling.
 
     When 2 * min degree >= n + 1 in the set (Ore's bound) the path exists
-    and is built deterministically by gap closing on g's own rows; no
-    induced graph is built, no seed is drawn, budget and seed are unused,
-    and the stats read no restarts. Any other set gets up to `budget`
-    seeded rotation-extension restarts on its induced graph, then the exact
-    subset DP when it has at most EXACT_THRESHOLD vertices. Within that
-    size the answer is definitive: None means no Hamilton x,y-path exists.
-    Above it, None only means the heuristic failed.
+    and is built by gap closing on g's own rows; no induced graph is built.
+    Any other set of at most EXACT_THRESHOLD vertices gets the exact subset
+    DP on its induced graph, so None is always definitive: no Hamilton
+    x,y-path exists. A larger set that misses the bound is a ValueError.
+    The path is deterministic; `budget` and `seed` are unused and kept for
+    callers that pass them.
 
-    With return_stats=True returns (path, stats) where stats reports the
-    restarts consumed and whether the exact fallback ran.
+    With return_stats=True returns (path, stats) where stats reads
+    restarts 0 and whether the exact DP ran.
     """
     vs = _path_vertices(g, x, y, within)
     mask = mask_of(vs)
     rows = g.rows
-    if 2 * min((rows[v] & mask).bit_count() for v in vs) >= len(vs) + 1:
+    exact = 2 * min((rows[v] & mask).bit_count() for v in vs) < len(vs) + 1
+    if not exact:
         path = _ore_path(rows, vs, x, y)
-        stats = {"restarts": 0, "exact": False}
+    elif len(vs) > EXACT_THRESHOLD:
+        raise ValueError(f"a set of {len(vs)} vertices that misses Ore's bound is "
+                         f"past the exact DP's EXACT_THRESHOLD = {EXACT_THRESHOLD}")
     else:
         sub, index = induced(g, vs)
-        path, stats = _search(sub, index[x], index[y], budget, seed)
+        path = _exact_path(sub, index[x], index[y])
         if path is not None:
             path = [vs[v] for v in path]
+    stats = {"restarts": 0, "exact": exact}
     return (path, stats) if return_stats else path
-
-
-def _search(g: Graph, x: int, y: int, budget: int, seed: int):
-    """(path, stats) of the rotation restarts and then the exact DP on g."""
-    stats = {"restarts": 0, "exact": False}
-    path = None
-    for attempt in range(1, budget + 1):
-        stats["restarts"] = attempt
-        rng = make_rng(spawn_seed(seed, 0x11, attempt))
-        path = _rotation_restart(g, x, y, rng)
-        if path is not None:
-            break
-    if path is None and g.n <= EXACT_THRESHOLD:
-        stats["exact"] = True
-        path = _exact_path(g, x, y)
-    return path, stats
 
 
 def brute_force_hamilton_path(g: Graph, x: int, y: int) -> list[int] | None:
     """Exhaustive Hamilton x,y-path search for graphs on at most 12 vertices.
 
     Depth-first enumeration over neighbor lists with memoized dead states;
-    independent of the rotation/DP machinery above so the two can check each
-    other. Raises ValueError beyond the size limit.
+    independent of the DP above so the two can check each other. Raises
+    ValueError beyond the size limit.
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")

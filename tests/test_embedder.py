@@ -333,48 +333,52 @@ class TestEmbedSubdivision:
 
 class TestHamiltonStage:
     """Every block meets Ore's bound, so the Hamilton stage builds its
-    paths by gap closing: no seed, no restart, no exact DP."""
+    paths by gap closing: no seed, no induced graph, no exact DP."""
 
     @staticmethod
-    def spy_restarts(monkeypatch):
-        restarts = []
-        monkeypatch.setattr(hampath, "_rotation_restart",
-                            lambda *a: restarts.append(a))
-        return restarts
+    def spy_exact(monkeypatch):
+        """Calls into the branch for sets that miss Ore's bound: the induced
+        graph it builds and the exact DP it runs."""
+        calls = []
+
+        def spy(name):
+            real = getattr(hampath, name)
+            monkeypatch.setattr(hampath, name,
+                                lambda *a: calls.append(name) or real(*a))
+
+        spy("induced")
+        spy("_exact_path")
+        return calls
 
     def test_no_seed_after_the_template(self, monkeypatch):
-        tags = []
+        tags = {embedder: [], hampath: []}
 
         def spy(module):
             real = module.spawn_seed
 
             def derive(*parts):
-                tags.append(parts[1])
+                tags[module].append(parts[1])
                 return real(*parts)
             monkeypatch.setattr(module, "spawn_seed", derive)
 
         spy(embedder)
         spy(hampath)
-        restarts = self.spy_restarts(monkeypatch)
+        exact = self.spy_exact(monkeypatch)
         calls = spy_hampath(monkeypatch)
         host = gen_dirac_host(HostSpec(8, 3, 12, 0.25, seed=4))
         h = gen_random_regular(8, 3, seed=4)
         r = embed_subdivision(host, h, EmbedConfig(epsilon=0.25, seed=4))
         assert r.success and len(calls) == 2 * h.edge_count
-        assert restarts == []
-        assert 0x01 in tags and 0x11 not in tags and 0x12 not in tags
+        assert exact == []
+        assert 0x01 in tags[embedder] and tags[hampath] == []
 
     def test_blocks_past_the_exact_threshold(self, monkeypatch):
         # K3 on K384: C = 64, so every block has 65 vertices
-        def no_dp(*args):
-            raise AssertionError("exact DP engaged")
-
-        monkeypatch.setattr(hampath, "_exact_path", no_dp)
-        restarts = self.spy_restarts(monkeypatch)
+        exact = self.spy_exact(monkeypatch)
         r = embed_subdivision(complete_graph(384), complete_graph(3),
                               EmbedConfig(epsilon=0.5, seed=1))
         assert r.success and r.C == 64 > hampath.EXACT_THRESHOLD
-        assert restarts == []
+        assert exact == []
 
     def test_a_block_without_a_path_is_an_error(self, monkeypatch):
         # the stage cannot fail on a checked template, so a missing path

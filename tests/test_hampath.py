@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dirac_subdiv import (Graph, brute_force_hamilton_path, complete_graph,
                           hamilton_path_between, hampath, induced, min_degree)
@@ -133,21 +133,51 @@ class TestDeterminism:
         p, stats = hamilton_path_between(g, 0, 5, seed=1, return_stats=True)
         assert is_hamilton_xy_path(g, p, 0, 5)
         assert stats == {"restarts": 0, "exact": False}
-        # C5 misses it (2 * 2 < 5 + 1), so the rotation restarts run
+        # C5 misses it (2 * 2 < 5 + 1), so the exact DP runs
         g = cycle_graph(5)
         p, stats = hamilton_path_between(g, 0, 1, seed=1, return_stats=True)
         assert is_hamilton_xy_path(g, p, 0, 1)
-        assert stats["restarts"] >= 1 and stats["exact"] is False
+        assert stats == {"restarts": 0, "exact": True}
 
     def test_exact_fallback_engages(self):
-        # a graph the greedy heuristic finds hard: two cliques bridged by
-        # one cut vertex; with budget 1 the exact DP must settle it
+        # two cliques bridged by one cut vertex miss Ore's bound (the
+        # clique vertices have degree 4 < (9 + 1) / 2), so the exact DP
+        # settles it
         edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         edges += [(u, v) for u in range(4, 9) for v in range(u + 1, 9)]
         g = Graph(9, edges)
         p, stats = hamilton_path_between(g, 0, 8, budget=1, seed=0,
                                          return_stats=True)
         assert is_hamilton_xy_path(g, p, 0, 8)
+        assert stats == {"restarts": 0, "exact": True}
+
+
+class TestExactBranch:
+    """A set that misses Ore's bound gets the exact DP up to EXACT_THRESHOLD
+    vertices, and is a ValueError past it."""
+
+    @pytest.mark.parametrize("g,x,y,found", [
+        (path_graph(4), 0, 3, True),
+        (path_graph(4), 0, 2, False),
+        (cycle_graph(7), 2, 3, True),
+        (Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), 0, 5, False),
+    ])
+    def test_stats_report_the_dp(self, g, x, y, found):
+        assert 2 * min_degree(g) < g.n + 1
+        p, stats = hamilton_path_between(g, x, y, seed=3, return_stats=True)
+        assert (p is not None) == found
+        assert p is None or is_hamilton_xy_path(g, p, x, y)
+        assert stats == {"restarts": 0, "exact": True}
+
+    def test_past_the_threshold_is_an_error(self):
+        assert hampath.EXACT_THRESHOLD < 21
+        cycle = cycle_graph(21)
+        host = Graph(25, [*cycle.edges(), (20, 21), (21, 22), (0, 23), (23, 24)])
+        match = r"\b21\b.*EXACT_THRESHOLD"
+        with pytest.raises(ValueError, match=match):
+            hamilton_path_between(cycle, 0, 1)
+        with pytest.raises(ValueError, match=match):
+            hamilton_path_between(host, 0, 1, within=range(21))
 
 
 @st.composite
@@ -237,6 +267,17 @@ class TestWithin:
                                      max_size=n, unique=True))
         x, y = data.draw(st.permutations(members))[:2]
         seed = data.draw(st.integers(0, 9))
+        sub = induced(g, members)[0]
+        ore = 2 * min_degree(sub) >= sub.n + 1
+        if not ore and sub.n > hampath.EXACT_THRESHOLD:
+            with pytest.raises(ValueError):
+                via_induced(g, x, y, members, seed)
+            with pytest.raises(ValueError):
+                hamilton_path_between(g, x, y, seed=seed, within=members)
+            return
+        # the exact DP's work more than doubles with each vertex: two runs
+        # per example on a 15-20 vertex set would take seconds
+        assume(ore or sub.n < 15)
         want = via_induced(g, x, y, members, seed)
         builds = []
         with pytest.MonkeyPatch.context() as mp:
@@ -245,8 +286,7 @@ class TestWithin:
             got = hamilton_path_between(g, x, y, seed=seed, return_stats=True,
                                         within=members)
         assert got == want
-        sub = induced(g, members)[0]
-        assert (builds == []) == (2 * min_degree(sub) >= sub.n + 1)
+        assert (builds == []) == ore
 
     def test_c5_in_a_sparse_host(self):
         # a 5-cycle 2-5-7-11-13 on 16 vertices, misses Ore's bound
@@ -256,7 +296,7 @@ class TestWithin:
         got = hamilton_path_between(g, 2, 5, seed=1, return_stats=True,
                                     within=cyc)
         assert got == via_induced(g, 2, 5, cyc, 1)
-        assert got[0] == [2, 13, 11, 7, 5] and got[1]["restarts"] >= 1
+        assert got == ([2, 13, 11, 7, 5], {"restarts": 0, "exact": True})
 
     def test_ore_block_in_a_sparse_host(self):
         # K6 on 3, 4, 8, 9, 14, 15 of a 20-vertex host, with edges leaving it
