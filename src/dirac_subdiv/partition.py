@@ -20,6 +20,13 @@ deterministic steepest-descent vertex swaps between the two, in the manner
 of Kernighan and Lin, and re-checked; only a pair the repair cannot fix
 costs another draw. Returned partitions always satisfy the advertised
 postconditions.
+
+Every degree rule of both stages reads: vertex v needs at least k
+neighbours in a set X. Each stage states its rules once, as a demand table
+of rows (label, key, W, extra, need): each vertex of W, or of the checked
+set S when W is None, needs `need` neighbours in S plus the vertex mask
+extra. _worst_violation is the one check over such a table, and
+_swap_repair reads its degree bounds from the same rows.
 """
 
 from __future__ import annotations
@@ -74,32 +81,36 @@ class GoodnessCheck:
     min_slack: float
 
 
-def _degree_violations(g: Graph, pattern_edges, parts, threshold: float):
-    """Worst degree violation and min slack for conditions 2 and 3."""
-    rows = g.rows
+def _worst_violation(rows, demands, S=(), first: bool = False):
+    """The worst miss (label, v, key, have, need) of a demand table, least
+    slack have - need and first in order on a tie, or None, and the min
+    slack over all rows; with first, the first miss in order instead."""
+    m = mask_of(S)
+    worst, min_slack = None, math.inf
+    for label, key, W, extra, need in demands:
+        X = m | extra
+        low = math.inf
+        for v in W or S:
+            have = (rows[v] & X).bit_count()
+            if have < low:
+                low, low_v = have, v
+                if first and have < need:
+                    return (label, v, key, have, need), have - need
+        if low - need < min_slack:
+            min_slack = low - need
+            if low < need:
+                worst = (label, low_v, key, low, need)
+    return worst, min_slack
+
+
+def _good_demands(pattern_edges, parts, threshold: float):
+    """Conditions 2 and 3 of a good partition as demand rows."""
     masks = [mask_of(p) for p in parts]
-    worst = None
-    min_slack = math.inf
     for i, part in enumerate(parts):
-        need = threshold * len(part)
-        for v in part:
-            have = (rows[v] & masks[i]).bit_count()
-            slack = have - need
-            if slack < min_slack:
-                min_slack = slack
-                if have < need:
-                    worst = ("part-degree", v, i, have, need)
+        yield "part-degree", i, part, masks[i], threshold * len(part)
     for (i, j) in pattern_edges:
         for a, b in ((i, j), (j, i)):
-            need = threshold * len(parts[b])
-            for v in parts[a]:
-                have = (rows[v] & masks[b]).bit_count()
-                slack = have - need
-                if slack < min_slack:
-                    min_slack = slack
-                    if have < need:
-                        worst = ("pair-degree", v, (a, b), have, need)
-    return worst, min_slack
+            yield "pair-degree", (a, b), parts[a], masks[b], threshold * len(parts[b])
 
 
 def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
@@ -121,9 +132,9 @@ def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
     total = 0
     union = 0
     for p in parts:
-        m = mask_of(p)
-        if m >> g.n:
+        if p and not (0 <= p[0] and p[-1] < g.n):
             raise ValueError("part contains out-of-range vertices")
+        m = mask_of(p)
         if union & m:
             raise ValueError("parts overlap")
         union |= m
@@ -136,7 +147,7 @@ def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
         want = base + (i < rem)
         if len(p) != want:
             return GoodnessCheck(False, ("part-size", i, len(p), want), -math.inf)
-    worst, min_slack = _degree_violations(g, h.edges(), parts, threshold)
+    worst, min_slack = _worst_violation(g.rows, _good_demands(h.edges(), parts, threshold))
     return GoodnessCheck(worst is None, worst, min_slack)
 
 
@@ -176,7 +187,7 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
         for size in sizes:
             parts.append(tuple(sorted(perm[pos:pos + size])))
             pos += size
-        worst, slack = _degree_violations(g, pattern_edges, parts, threshold)
+        worst, slack = _worst_violation(g.rows, _good_demands(pattern_edges, parts, threshold))
         if worst is None:
             return GoodPartition(tuple(parts), attempt)
         if slack < worst_slack:
@@ -251,44 +262,32 @@ class BlockPartition:
     attempts: int
 
 
+def _set_demands(iv: range, size: int, center: int, connectors, threshold: float, C: int):
+    """The demand rows of a fresh bisection set S of the given size, as
+    block_partition states them, in check order: inner degree, center,
+    each connector iv indexes, then for a finished block (a singleton iv)
+    Ore's bound on every vertex of S + {center, connector}, S first."""
+    key, need, final = tuple(iv), threshold * size, len(iv) == 1
+    conns = connectors[iv.start:iv.stop]
+    rows = [("block-min-degree" if final else "set-min-degree", key, None, 0,
+             threshold * C if final else need),
+            ("center-degree", key, (center,), 0, need),
+            ("connector-degree", key, conns, 0, need)]
+    if final:
+        ends, extra = (center, *conns), 1 << center | 1 << conns[0]
+        ore = (size + 3) / 2  # (|B|+1)/2 with |B| = size + 2
+        rows += [("block-ore-degree", key, W, extra, ore) for W in (None, ends)]
+    return rows
+
+
 def _block_events_violation(g: Graph, center: int, connectors, entries,
                             threshold: float, C: int):
-    """Check the degree events for freshly randomized sets.
-
-    entries is a list of (interval, vertex_tuple). For an internal interval
-    the thresholds scale with the set size; for a singleton (a finished
-    block) the induced-min-degree event is checked against threshold*C.
-    A finished block must also meet Ore's bound once its center and
-    connector join it: every vertex of that set B has at least (|B|+1)/2
-    neighbours in B, the bound check_template and the Hamilton stage need.
-    """
-    rows = g.rows
+    """The first miss of each (interval, vertex_tuple) entry's _set_demands rows, or None."""
     for iv, vs in entries:
-        m = mask_of(vs)
-        size = len(vs)
-        final = len(iv) == 1
-        need_inner = threshold * (C if final else size)
-        for v in vs:
-            have = (rows[v] & m).bit_count()
-            if have < need_inner:
-                label = "block-min-degree" if final else "set-min-degree"
-                return (label, v, tuple(iv), have, need_inner)
-        need = threshold * size
-        have = (rows[center] & m).bit_count()
-        if have < need:
-            return ("center-degree", center, tuple(iv), have, need)
-        for ell in iv:
-            have = (rows[connectors[ell]] & m).bit_count()
-            if have < need:
-                return ("connector-degree", connectors[ell], tuple(iv), have, need)
-        if final:
-            conn = connectors[iv.start]
-            b = m | 1 << center | 1 << conn
-            need_ore = (size + 3) / 2  # (|B|+1)/2 with |B| = size + 2
-            for v in (*vs, center, conn):
-                have = (rows[v] & b).bit_count()
-                if have < need_ore:
-                    return ("block-ore-degree", v, tuple(iv), have, need_ore)
+        viol, _ = _worst_violation(g.rows, _set_demands(iv, len(vs), center, connectors,
+                                                        threshold, C), vs, first=True)
+        if viol is not None:
+            return viol
     return None
 
 
@@ -297,11 +296,11 @@ def _swap_repair(g: Graph, center: int, conns: tuple[int, int],
                  threshold: float, C: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Steepest-descent swaps between two sibling blocks; no randomness.
 
-    The shortfall of a block X with connector c is what
-    _block_events_violation finds missing, in whole degrees (an integer
-    degree meets a bound iff it meets its ceiling): tau*C inner degree of
-    each vertex of X, Ore degree (|X|+3)/2 of each vertex of X + {center,
-    c} inside that set, and tau*|X| degree of the center and of c into X.
+    The shortfall of a block X with connector c is what its _set_demands
+    rows find missing, in whole degrees (an integer degree meets a bound iff
+    it meets its ceiling): a row asking need neighbours in X + extra bounds
+    a vertex v's count into X below by ceil(need) - |N(v) & extra|. Every
+    vertex that can lie in X, and the center and c, gets two such bounds.
     Each step makes the swap of a in the first block with b in the second
     that most reduces the pair's total shortfall, the lowest (a, b) on a
     tie. One of a, b must take part in a shortfall: be short itself, or be
@@ -322,13 +321,14 @@ def _swap_repair(g: Graph, center: int, conns: tuple[int, int],
     pool = pair[0] + pair[1]
     rows = g.rows
     row = {v: rows[v] for v in (*pool, z, *conns)}
-    inner = math.ceil(threshold * C)
     bounds = []  # per side: vertex -> the bounds (lo, hi) its count must meet
-    for X, c in zip(pair, conns):
-        ore = math.ceil((len(X) + 3) / 2)
-        t = {v: sorted((inner, ore - (row[z] >> v & 1) - (row[c] >> v & 1)))
-             for v in pool}
-        t[z] = t[c] = sorted((math.ceil(threshold * len(X)), ore - (row[z] >> c & 1)))
+    for s, X in enumerate(pair):
+        t = {}  # each vertex has two rows: the first bound, then both in order
+        for *_, W, extra, need in _set_demands(range(s, s + 1), len(X), z, conns, threshold, C):
+            k = math.ceil(need)
+            for v in W or pool:
+                b, a = k - (row[v] & extra).bit_count(), t.get(v)
+                t[v] = b if a is None else (a, b) if a <= b else (b, a)
         bounds.append(t)
     members = [sorted(pair[0]), sorted(pair[1])]
     counts = [{v: (r & m).bit_count() for v, r in row.items()}
@@ -422,7 +422,7 @@ def check_blowup(C: int, alpha: float, delta: float) -> None:
     """
     tau = alpha - delta
     least = C
-    while least - 3 < tau * least:  # the float test _block_events_violation makes
+    while least - 3 < tau * least:  # the float test of the block-min-degree row
         least += 1
     if least > C:
         raise ValueError(
@@ -469,16 +469,16 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     if level_budget < 1:
         raise ValueError("level_budget must be >= 1")
     group = sorted(set(group))
-    gmask = mask_of(group)
-    if gmask >> g.n:
+    if group and not (0 <= group[0] and group[-1] < g.n):
         raise ValueError("group contains out-of-range vertices")
+    gmask = mask_of(group)
     d = len(connectors)
     if d < 1:
         raise ValueError("need at least one connector")
     specials = {center, *connectors}
     if len(specials) != d + 1:
         raise ValueError("center and connectors must be distinct")
-    if any(not (gmask >> v & 1) for v in specials):
+    if not specials <= set(group):
         raise ValueError("center and connectors must lie inside the group")
     rows = g.rows
     gmin = min((rows[v] & gmask).bit_count() for v in group)

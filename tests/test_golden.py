@@ -7,10 +7,11 @@ import random
 from dirac_subdiv import (EmbedConfig, HostSpec, PartitionError,
                           block_partition, certificate_to_json, complete_graph,
                           embed_subdivision, format_edge_list, gen_dirac_host,
-                          gen_random_regular, min_degree, parse_edge_list)
+                          gen_random_regular, good_partition, is_good_partition,
+                          min_degree, parse_edge_list)
 from dirac_subdiv.cli import SweepSpec, run_sweep
 
-from support import random_gnp
+from support import cycle_graph, random_gnp
 
 
 def digest(text: str) -> str:
@@ -67,6 +68,34 @@ def test_block_partition_outcomes():
                         outcomes.append((str(err), err.attempts, err.level,
                                          err.violation))
     assert digest(repr(outcomes)) == "3892c25cfc4071d5"
+
+
+def test_good_partition_outcomes():
+    # G(N, 0.8) hosts for K2, K3 and C4 patterns, N = 24 and 37 (unequal
+    # parts), at thresholds 0.75 and 0.9 of the host's min-degree ratio with
+    # a budget of 3: parts and draws of every success, message, draws and
+    # worst violation of every PartitionError (the grid exhausts budgets on
+    # both part-degree and pair-degree), and the full check of one
+    # independent equitable split of each host, min slack included
+    outcomes = []
+    for h in (complete_graph(2), complete_graph(3), cycle_graph(4)):
+        for N in (24, 37):
+            for seed in range(3):
+                rng = random.Random(100 * N + 10 * h.n + seed)
+                g = random_gnp(N, 0.8, rng)
+                alpha = min_degree(g) / N
+                perm = rng.sample(range(N), N)
+                ends = [i * (N // h.n) + min(i, N % h.n) for i in range(h.n + 1)]
+                split = [perm[a:b] for a, b in zip(ends, ends[1:])]
+                for tau in (0.75 * alpha, 0.9 * alpha):
+                    try:
+                        gp = good_partition(g, h, alpha=alpha, delta=alpha - tau,
+                                            budget=3, seed=seed)
+                        outcomes.append((gp.parts, gp.attempts))
+                    except PartitionError as err:
+                        outcomes.append((str(err), err.attempts, err.violation))
+                    outcomes.append(is_good_partition(g, h, split, tau))
+    assert digest(repr(outcomes)) == "94280ababf034de6"
 
 
 def test_pattern_edge_list():

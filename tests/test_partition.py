@@ -125,6 +125,56 @@ class TestIsGoodPartition:
         with pytest.raises(ValueError):
             is_good_partition(g, h, [range(0, 3), range(3, 5)], threshold=0.5)
 
+    def test_negative_ids_are_out_of_range(self):
+        g = complete_graph(6)
+        h = complete_graph(2)
+        with pytest.raises(ValueError, match="out-of-range"):
+            is_good_partition(g, h, [[-1, 0, 1], [2, 3, 4]], threshold=0.5)
+
+
+def goodness_constraints(g, h, parts, tau):
+    """Conditions 2 and 3 recounted edge by edge, as (label, vertex, key,
+    have, need) in the documented order: parts, then both directions of
+    each pattern edge."""
+    def have(v, part):
+        return sum(g.has_edge(v, u) for u in part)
+
+    found = []
+    for i, part in enumerate(parts):
+        found += [("part-degree", v, i, have(v, part), tau * len(part))
+                  for v in sorted(part)]
+    for i, j in h.edges():
+        for a, b in ((i, j), (j, i)):
+            found += [("pair-degree", v, (a, b), have(v, parts[b]), tau * len(parts[b]))
+                      for v in sorted(parts[a])]
+    return found
+
+
+class TestGoodnessReference:
+    def test_violation_and_min_slack_match_a_recount(self):
+        # parts of 4 or 8 at thresholds 1/4, 1/2 and 3/4: every need is an
+        # integer, so equal slacks are common. The worst violation is the
+        # one of least slack, the first in order on a tie.
+        rng = random.Random(11)
+        labels, ties = set(), 0
+        for _ in range(120):
+            h = rng.choice([complete_graph(2), complete_graph(3), Graph(4, [(0, 1), (2, 3)])])
+            size = rng.choice([4, 8])
+            g = random_gnp(h.n * size, rng.uniform(0.3, 0.9), rng)
+            perm = rng.sample(range(g.n), g.n)
+            parts = [perm[k * size:(k + 1) * size] for k in range(h.n)]
+            tau = rng.choice([0.25, 0.5, 0.75])
+            found = goodness_constraints(g, h, parts, tau)
+            slacks = [have - need for *_, have, need in found]
+            min_slack = min(slacks)
+            worst = found[slacks.index(min_slack)] if min_slack < 0 else None
+            chk = is_good_partition(g, h, parts, tau)
+            assert (chk.ok, chk.violation, chk.min_slack) == (worst is None, worst, min_slack)
+            labels.add(worst and worst[0])
+            ties += min_slack < 0 and slacks.count(min_slack) > 1
+        assert labels == {None, "part-degree", "pair-degree"}
+        assert ties >= 30
+
 
 class TestGoodPartition:
     def test_complete_host_first_attempt(self):
@@ -305,6 +355,14 @@ class TestBlockPartition:
         with pytest.raises(ValueError):  # group min degree below alpha
             block_partition(low, range(16), 0, [1, 8], alpha=0.6, delta=0.1)
 
+    def test_negative_ids_are_out_of_range(self):
+        g = complete_graph(16)
+        with pytest.raises(ValueError, match="out-of-range"):
+            block_partition(g, range(-1, 16), 0, [1, 2], alpha=0.7, delta=0.2)
+        for center, connectors in [(-1, [1, 2]), (0, [1, -2])]:
+            with pytest.raises(ValueError, match="inside the group"):
+                block_partition(g, range(16), center, connectors, alpha=0.7, delta=0.2)
+
     @pytest.mark.parametrize("C, delta, least", [(4, 0.05, 6), (5, 0.05, 6),
                                                   (3, 0.15, 5)])
     def test_infeasible_blowup_rejected(self, C, delta, least):
@@ -362,6 +420,57 @@ class TestBlockOreBound:
             block_partition(g, range(10), center=0, connectors=[1],
                             alpha=0.5, delta=0.1)
         assert exc.value.violation == ("block-ore-degree", 0, (0,), 5, 5.5)
+
+
+def reference_block_violation(g, center, connectors, entries, tau, C):
+    """The first missed block-stage event, recounted edge by edge in the
+    documented order: per entry, the inner degree of each vertex of S, the
+    center's and each connector's degree into S, then for a finished block
+    Ore's bound in B = S + {center, connector}: S, the center, the connector."""
+    def have(v, members):
+        return sum(g.has_edge(v, u) for u in members)
+
+    for iv, vs in entries:
+        S, final = set(vs), len(iv) == 1
+        events = [("block-min-degree" if final else "set-min-degree", v, S,
+                   tau * (C if final else len(vs))) for v in vs]
+        events += [("center-degree", center, S, tau * len(vs))]
+        events += [("connector-degree", connectors[ell], S, tau * len(vs)) for ell in iv]
+        if final:
+            B = S | {center, connectors[iv.start]}
+            events += [("block-ore-degree", v, B, (len(B) + 1) / 2)
+                       for v in (*vs, center, connectors[iv.start])]
+        for label, v, members, need in events:
+            if have(v, members) < need:
+                return (label, v, tuple(iv), have(v, members), need)
+    return None
+
+
+class TestBlockEventsReference:
+    def test_first_violation_matches_a_recount(self):
+        # one or two fresh sets per call, internal and finished, at
+        # thresholds with integer and fractional needs
+        rng = random.Random(17)
+        labels = set()
+        for _ in range(300):
+            d = rng.randint(1, 4)
+            g = random_gnp(rng.randint(d + 5, 24), rng.uniform(0.4, 0.95), rng)
+            center, *connectors = rng.sample(range(g.n), d + 1)
+            rest = [v for v in range(g.n) if v != center and v not in connectors]
+            rng.shuffle(rest)
+            entries = []
+            for _ in range(rng.randint(1, 2)):
+                start = rng.randrange(d)
+                iv = range(start, rng.randint(start + 1, d))
+                k = rng.randint(1, len(rest) // 2)
+                entries.append((iv, tuple(sorted(rest[:k]))))
+                rest = rest[k:]
+            tau, C = rng.choice([0.25, 0.5, 0.75, 0.4375]), rng.randint(4, 12)
+            got = partition._block_events_violation(g, center, connectors, entries, tau, C)
+            assert got == reference_block_violation(g, center, connectors, entries, tau, C)
+            labels.add(got and got[0])
+        assert labels == {None, "set-min-degree", "block-min-degree", "center-degree",
+                          "connector-degree", "block-ore-degree"}
 
 
 def pair_shortfall(g, center, conns, pair, tau, C):
