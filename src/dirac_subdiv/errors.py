@@ -2,9 +2,9 @@
 
 
 class GenerationError(RuntimeError):
-    """A generator could not meet its postcondition: the random-regular
-    sampler ran out of restarts, or the one host sample missed its degree
-    bound."""
+    """A generator could not meet its postcondition: the one host sample
+    missed its degree bound, or the random-regular sampler's switchings ran
+    out of their proposal budget, which no tested (n, d) reaches."""
 
 
 class PartitionError(RuntimeError):

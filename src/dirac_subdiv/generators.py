@@ -3,7 +3,8 @@
 All generators are pure functions of their parameters and seed: the same
 seed yields the same graph, byte-for-byte in edge-list serialization.
 Randomized generators verify their own postconditions, so a returned graph
-always satisfies the advertised guarantee; only the pattern sampler retries.
+always satisfies the advertised guarantee. None of them retries: the host is
+one sample, and the pattern sampler repairs one pairing by switchings.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import GenerationError
 from .graph import Graph, min_degree, pack_rows
 from .rng import make_rng, spawn_seed
 
-REGULAR_ATTEMPTS = 200
+SWITCH_BUDGET = 64  # batches of n*d/2 repair proposals before GenerationError
 
 
 @dataclass(frozen=True)
@@ -114,25 +115,48 @@ def _complement(g: Graph) -> Graph:
     return Graph._from_rows([full ^ g.neighbor_mask(v) ^ (1 << v) for v in range(g.n)])
 
 
-def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> Graph | None:
-    # Uniform pairing of degree stubs; reject the whole pairing on any loop
-    # or repeated pair (a Graph with fewer than n*d/2 edges), which keeps the
-    # output uniform over simple d-regular graphs.
-    stubs = np.repeat(np.arange(n), d)
-    rng.shuffle(stubs)
-    pairs = stubs.reshape(-1, 2)
-    if (pairs[:, 0] == pairs[:, 1]).any():
-        return None
-    g = Graph(n, pairs)
-    return g if g.edge_count == n * d // 2 else None
+def _switch(ends: list[int], count: dict[int, int], n: int, s: int, t: int) -> bool:
+    """Swap the stubs at positions s and t of a pairing, if that is a simple switch.
+
+    Pair i of `ends` is (ends[2i], ends[2i+1]), and `count` maps each pair's
+    key min*n + max to its multiplicity. With a = ends[s^1], b = ends[s],
+    c = ends[t] and e = ends[t^1], the swap trades the pairs ab, ce for ac,
+    be. It is made, and `count` updated, only when ac and be are distinct,
+    not loops and not pairs already present; returns whether it was made.
+    """
+    a, b, c, e = ends[s ^ 1], ends[s], ends[t], ends[t ^ 1]
+    if a == c or b == e:
+        return False
+    ac = a * n + c if a < c else c * n + a
+    be = b * n + e if b < e else e * n + b
+    if ac == be or ac in count or be in count:
+        return False
+    for key in (a * n + b if a < b else b * n + a, c * n + e if c < e else e * n + c):
+        if count[key] == 1:
+            del count[key]
+        else:
+            count[key] -= 1
+    count[ac] = count[be] = 1
+    ends[s], ends[t] = c, b
+    return True
 
 
 def gen_random_regular(n: int, d: int, seed: int = 0) -> Graph:
-    """Random simple d-regular graph on n vertices via the configuration model.
+    """Random simple d-regular graph on n vertices: one configuration-model
+    pairing, made simple by switchings, then n*d/2 steps of the switch chain.
 
     Requires n*d even and 0 <= d < n. For d above (n-1)/2 the complement of a
-    random (n-1-d)-regular graph is returned, which keeps the rejection rate
-    manageable. Raises GenerationError when the restart budget runs out.
+    random (n-1-d)-regular graph is returned. The stubs are shuffled into one
+    pairing. Each loop and repeated pair is then removed by double-edge
+    switchings (ab, ce -> ac, be) that are made only when both new pairs are
+    new and not loops, so each one lowers the defect count (McKay & Wormald
+    1990). A fixed n*d/2 proposals of the switch chain, which keeps the graph
+    simple and whose stationary law is uniform, follow. The output is
+    approximately uniform, not exactly: exactly uniform switching samplers
+    (McKay & Wormald 1990; Gao & Wormald 2017) reject some outcomes, which
+    this one does not. The work is O(n*d) switch proposals in expectation.
+    Raises GenerationError only if the repair's proposal budget, far above
+    what any tested (n, d) needs, runs out.
     """
     if not (0 <= d < n):
         raise ValueError("regularity must satisfy 0 <= d < n")
@@ -142,10 +166,37 @@ def gen_random_regular(n: int, d: int, seed: int = 0) -> Graph:
         return Graph(n)
     if 2 * d > n - 1:
         return _complement(gen_random_regular(n, n - 1 - d, seed))
-    for attempt in range(1, REGULAR_ATTEMPTS + 1):
-        g = _pairing_attempt(n, d, make_rng(spawn_seed(seed, 0x07, attempt)))
-        if g is not None:
-            return g
-    raise GenerationError(
-        f"configuration model found no simple {d}-regular graph on {n} "
-        f"vertices in {REGULAR_ATTEMPTS} restarts")
+    rng = make_rng(spawn_seed(seed, 0x07))
+    stubs = np.repeat(np.arange(n), d)
+    rng.shuffle(stubs)
+    ends, m = stubs.tolist(), len(stubs) // 2
+    count: dict[int, int] = {}
+    defects = []  # a loop, or a pair seen before; re-checked when popped
+    for i in range(m):
+        a, b = ends[2 * i], ends[2 * i + 1]
+        key = a * n + b if a < b else b * n + a
+        if a == b or key in count:
+            defects.append(i)
+        count[key] = count.get(key, 0) + 1
+    batches, draws = SWITCH_BUDGET, []
+    while defects:
+        i = defects.pop()
+        while True:
+            a, b = ends[2 * i], ends[2 * i + 1]
+            if a != b and count[a * n + b if a < b else b * n + a] == 1:
+                break
+            if not draws:
+                if batches == 0:
+                    raise GenerationError(
+                        f"switchings left a loop or repeated pair in a {d}-regular "
+                        f"pairing on {n} vertices after {SWITCH_BUDGET * m} proposals")
+                batches -= 1
+                draws = rng.integers(0, 4 * m, m).tolist()
+            r = draws.pop()  # which end of pair i, and the stub it swaps with
+            _switch(ends, count, n, 2 * i + (r & 1), r >> 1)
+    for s, t in rng.integers(0, 2 * m, (m, 2)).tolist():
+        _switch(ends, count, n, s, t)
+    g = Graph(n, np.array(ends).reshape(-1, 2))
+    if g.edge_count != m or any(row.bit_count() != d for row in g.rows):
+        raise AssertionError(f"switchings left a non-simple {d}-regular pairing on {n} vertices")
+    return g

@@ -166,8 +166,14 @@ def degree_into(g: Graph, v: int, members: Iterable[int] | int) -> int:
     (useful in hot loops). Membership of v itself is irrelevant since the
     graph has no self-loops.
     """
-    mask = members if isinstance(members, int) else mask_of(members)
-    if mask >> g.n:
+    if isinstance(members, int):
+        mask = members
+    else:
+        vs = list(members)
+        if vs and min(vs) < 0:
+            raise ValueError("member set contains out-of-range vertices")
+        mask = mask_of(vs)
+    if mask >> g.n:  # an id of n or more, or a negative mask
         raise ValueError("member set contains out-of-range vertices")
     return (g.neighbor_mask(v) & mask).bit_count()
 

@@ -1,14 +1,15 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirac_subdiv import generators
 from dirac_subdiv import (GenerationError, Graph, HostSpec, complete_graph,
                           format_edge_list, gen_dirac_host, gen_random_regular,
                           gen_two_clique_extremal, min_degree)
-from dirac_subdiv.generators import (_pairing_attempt, _sample_gnp,
-                                     dirac_degree_bound)
+from dirac_subdiv.generators import _sample_gnp, dirac_degree_bound
 from dirac_subdiv.rng import make_rng
 
 
@@ -84,29 +85,73 @@ class TestRandomRegular:
         b = gen_random_regular(10, 3, seed=77)
         assert format_edge_list(a) == format_edge_list(b)
 
-    def test_pairing_matches_set_reference(self):
-        def reference(n, d, rng):
-            stubs = np.repeat(np.arange(n), d)
-            rng.shuffle(stubs)
-            stubs = stubs.tolist()
-            edges = set()
-            for i in range(0, len(stubs), 2):
-                u, v = stubs[i], stubs[i + 1]
-                if u == v:
-                    return None
-                e = (u, v) if u < v else (v, u)
-                if e in edges:
-                    return None
-                edges.add(e)
-            return Graph(n, edges)
+    def test_switch_matches_set_reference(self):
+        def reference(ends, s, t):
+            # the pairing with stubs s and t swapped, if its two new pairs are
+            # new, distinct and not loops; else None
+            pairs = [tuple(ends[k:k + 2]) for k in range(0, len(ends), 2)]
+            present = {frozenset(p) for p in pairs}
+            out = list(ends)
+            out[s], out[t] = ends[t], ends[s]
+            new = {s // 2, t // 2}
+            made = [frozenset(out[2 * i:2 * i + 2]) for i in new]
+            if (len(new) < 2 or len(set(made)) < 2 or min(map(len, made)) < 2
+                    or any(p in present for p in made)):
+                return None
+            return out
 
-        rejected = []
-        for n, d in [(16, 5), (32, 5), (12, 3)]:
-            for seed in range(50):
-                got = _pairing_attempt(n, d, make_rng(seed))
-                assert got == reference(n, d, make_rng(seed)), (n, d, seed)
-                rejected.append(got is None)
-        assert any(rejected) and not all(rejected)
+        made = []
+        for n, d in [(6, 2), (9, 4), (12, 3), (16, 5)]:
+            rng = make_rng(n * d)
+            stubs = np.repeat(np.arange(n), d)
+            for _ in range(400):
+                rng.shuffle(stubs)
+                ends = stubs.tolist()
+                count = Counter(min(u, v) * n + max(u, v)
+                                for u, v in zip(ends[::2], ends[1::2]))
+                s, t = rng.integers(0, len(ends), 2).tolist()
+                want = reference(ends, s, t)
+                got = generators._switch(ends, count, n, s, t)
+                assert got == (want is not None), (n, d, s, t)
+                assert ends == (want or ends)
+                assert count == Counter(min(u, v) * n + max(u, v)
+                                        for u, v in zip(ends[::2], ends[1::2]))
+                made.append(got)
+        assert any(made) and not all(made)
+
+    @pytest.mark.parametrize("n, d", [(64, 5), (100, 5), (128, 5), (208, 6),
+                                      (512, 7), (1024, 7)])
+    def test_in_domain_shapes(self, n, d):
+        # d = ceil(ln n), rounded up to make n*d even: the smallest regularity
+        # the paper's theorem covers
+        for seed in range(20):
+            g = gen_random_regular(n, d, seed)
+            assert g.edge_count == n * d // 2
+            assert all(g.degree(v) == d for v in range(n)), (n, d, seed)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_simple_regular_and_deterministic(self, data):
+        n = data.draw(st.integers(2, 40))
+        d = data.draw(st.integers(0, n - 1).filter(lambda d: n * d % 2 == 0))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        g = gen_random_regular(n, d, seed)
+        assert g.edge_count == n * d // 2
+        assert all(g.degree(v) == d for v in range(n))
+        assert format_edge_list(gen_random_regular(n, d, seed)) == format_edge_list(g)
+
+    def test_budget_backstop(self, monkeypatch):
+        # with no proposals allowed, a pairing with a loop or repeated pair
+        # cannot be repaired; a pairing without one needs no repair
+        monkeypatch.setattr(generators, "SWITCH_BUDGET", 0)
+        outcomes = []
+        for seed in range(20):
+            try:
+                outcomes.append(gen_random_regular(12, 2, seed).edge_count)
+            except GenerationError as err:
+                assert "after 0 proposals" in str(err)
+                outcomes.append(None)
+        assert None in outcomes and 12 in outcomes
 
 
 class TestDiracHost:

@@ -100,7 +100,7 @@ def test_good_partition_outcomes():
 
 def test_pattern_edge_list():
     pattern = gen_random_regular(8, 3, seed=3000)
-    assert digest(format_edge_list(pattern)) == "b325b887d1305cbf"
+    assert digest(format_edge_list(pattern)) == "9f8d5eafe6e18dfc"
 
 
 def test_sweep_csv():

@@ -85,6 +85,12 @@ class TestDegreeInto:
         with pytest.raises(ValueError):
             degree_into(g, 0, {9})
 
+    @pytest.mark.parametrize("members", [[-1], [3], -1, 1 << 3])
+    def test_member_out_of_range_is_named(self, members):
+        g = complete_graph(3)
+        with pytest.raises(ValueError, match="member set contains out-of-range vertices"):
+            degree_into(g, 0, members)
+
 
 class TestInduced:
     def test_complete_to_complete(self):
