@@ -291,85 +291,80 @@ def _block_events_violation(g: Graph, center: int, connectors, entries,
     return None
 
 
-def _swap_repair(g: Graph, center: int, conns: tuple[int, int],
-                 pair: tuple[tuple[int, ...], tuple[int, ...]],
-                 threshold: float, C: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Steepest-descent swaps between two sibling blocks; no randomness.
+def _slices(weights) -> list[int]:
+    """Bit slices of a vertex -> weight map: slice i holds the vertices of weight > i."""
+    out = [0] * max(weights.values(), default=0)
+    for v, w in weights.items():
+        for i in range(w):
+            out[i] |= 1 << v
+    return out
 
-    The shortfall of a block X with connector c is what its _set_demands
-    rows find missing, in whole degrees (an integer degree meets a bound iff
-    it meets its ceiling): a row asking need neighbours in X + extra bounds
-    a vertex v's count into X below by ceil(need) - |N(v) & extra|. Every
-    vertex that can lie in X, and the center and c, gets two such bounds.
-    Each step makes the swap of a in the first block with b in the second
-    that most reduces the pair's total shortfall, the lowest (a, b) on a
-    tie. One of a, b must take part in a shortfall: be short itself, or be
-    a non-neighbour of a short vertex of its block. The pass stops at zero
-    shortfall, when no swap reduces it, or after |A|+|B| swaps.
 
-    Every vertex keeps its degree counts into both blocks, updated from the
-    rows of the two swapped vertices. A vertex with count k and bounds
-    lo <= hi is short by max(0, lo-k) + max(0, hi-k). A swap moves the
-    count of every other vertex by at most one, which changes that by
-    [k<=lo]+[k<=hi] on a fall and by -([k<lo]+[k<hi]) on a rise. Held as
-    bit masks, those weights split the change of a swap into a term of a, a
-    term of b, and minus the number of bounds met exactly over the common
-    neighbours of a and b, so scoring a swap costs one AND and a popcount
-    or two.
+def _swap_repair(g: Graph, center: int, connectors, entries, threshold: float,
+                 C: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Steepest-descent swaps between a sibling pair's two fresh sets, given
+    as the entries _block_events_violation takes; no randomness.
+
+    A side X's shortfall is what its _set_demands rows miss, in whole
+    degrees: a row asking need neighbours in X + extra bounds v's count into
+    X below by ceil(need) - |N(v) & extra|. A row with W None binds every
+    vertex of the pair, since any may move into X; one with a W binds the
+    center and connectors in it. Each step makes the swap of a in the first
+    set with b in the second that most reduces the total shortfall, the
+    lowest (a, b) on a tie; a or b must be short or a non-neighbour of a
+    short vertex of its side. The pass stops at zero shortfall, when no swap
+    reduces it, or after |A|+|B| swaps.
+
+    A count k is short by the sum of max(0, b-k) over its bounds b. A swap
+    moves every other count by at most one, changing that by #(b >= k) on a
+    fall and -#(b > k) on a rise. As bit slices, these weights split a
+    swap's change into a term of a, a term of b, and minus the bounds met
+    exactly over their common neighbours: one AND and popcount per slice.
     """
-    z = center
-    pool = pair[0] + pair[1]
-    rows = g.rows
-    row = {v: rows[v] for v in (*pool, z, *conns)}
-    bounds = []  # per side: vertex -> the bounds (lo, hi) its count must meet
-    for s, X in enumerate(pair):
-        t = {}  # each vertex has two rows: the first bound, then both in order
-        for *_, W, extra, need in _set_demands(range(s, s + 1), len(X), z, conns, threshold, C):
+    rows, pool = g.rows, entries[0][1] + entries[1][1]
+    bounds = ({}, {})  # per side: vertex -> the bounds its count into the side must meet
+    for (iv, X), t in zip(entries, bounds):
+        for *_, W, extra, need in _set_demands(iv, len(X), center, connectors, threshold, C):
             k = math.ceil(need)
             for v in W or pool:
-                b, a = k - (row[v] & extra).bit_count(), t.get(v)
-                t[v] = b if a is None else (a, b) if a <= b else (b, a)
-        bounds.append(t)
-    members = [sorted(pair[0]), sorted(pair[1])]
-    counts = [{v: (r & m).bit_count() for v, r in row.items()}
-              for m in (mask_of(pair[0]), mask_of(pair[1]))]
+                t.setdefault(v, []).append(k - (rows[v] & extra).bit_count())
+    fixed = [t.keys() - set(pool) for t in bounds]  # the center and connectors each side binds
+    tracked = bounds[0].keys() | bounds[1].keys()
+    members = [sorted(entries[0][1]), sorted(entries[1][1])]
+    counts = [{v: (rows[v] & m).bit_count() for v in tracked}
+              for m in (mask_of(members[0]), mask_of(members[1]))]
 
     def short(s, v, k):
-        lo, hi = bounds[s][v]
-        return max(0, lo - k) + max(0, hi - k)
+        gap = 0
+        for b in bounds[s][v]:
+            gap += b - k if b > k else 0
+        return gap
 
     for _ in range(len(pool)):
-        # per side, as masks: the vertices whose shortfall grows by >= 1 and
-        # by 2 when their count falls by one, those whose shortfall shrinks
-        # by >= 1 and by 2 when it rises by one, and the swap-out candidates
-        fall1, fall2, rise1, rise2, movable = [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]
-        exact = {}  # vertex -> bounds its counts meet exactly, both sides
-        total = 0
+        # per side, the fall and rise weights (the bounds a count meets, and
+        # those it misses) and the swap-out candidates; exact hits, both sides
+        fw, rw, hits, movable, total = ({}, {}), ({}, {}), {}, [0, 0], 0
         for s in (0, 1):
             m = mask_of(members[s])
-            for v in (*members[s], z, conns[s]):
+            for v in (*members[s], *fixed[s]):
                 k = counts[s][v]
-                lo, hi = bounds[s][v]
-                if k > hi:
-                    continue
-                bit = 1 << v
-                fall1[s] |= bit
-                if k <= lo:
-                    fall2[s] |= bit
-                if k == lo or k == hi:
-                    exact[v] = exact.get(v, 0) + (k == lo) + (k == hi)
-                if k < hi:
-                    rise1[s] |= bit
-                    if k < lo:
-                        rise2[s] |= bit
-                    total += max(0, lo - k) + hi - k
-                    movable[s] |= m & ~row[v]
+                f = r = 0
+                for b in bounds[s][v]:
+                    if b >= k:
+                        f += 1
+                        if b > k:
+                            r += 1
+                            total += b - k
+                if f:
+                    fw[s][v] = f
+                if r:
+                    rw[s][v] = r
+                    movable[s] |= m & ~rows[v]
+                if f > r:
+                    hits[v] = hits.get(v, 0) + f - r
         if total == 0:
             break
-        # bit slices of the exact counts: slice i holds the vertices of
-        # weight > i, so a set's weight is the sum of its popcounts with them
-        first, *more = [mask_of(v for v, w in exact.items() if w > i)
-                        for i in range(max(exact.values(), default=1))]
+        fall, rise, exact = [*map(_slices, fw)], [*map(_slices, rw)], _slices(hits)
         out = [[v for v in members[s] if movable[s] >> v & 1] for s in (0, 1)]
         # own[s][v][j]: the change of a swap that moves v off side s, less
         # the common-neighbour term; j = 1 when v and its partner are
@@ -377,27 +372,25 @@ def _swap_repair(g: Graph, center: int, conns: tuple[int, int],
         own = ({}, {})
         for s in (0, 1):
             o = 1 - s
-            f1, f2, r1, r2 = fall1[s], fall2[s], rise1[o], rise2[o]
             for v in members[s] if out[o] else out[s]:
-                r = row[v]
-                k = counts[o][v]
-                base = ((r & f1).bit_count() + (r & f2).bit_count()
-                        - (r & r1).bit_count() - (r & r2).bit_count()
-                        - short(s, v, counts[s][v]))
+                r, k = rows[v], counts[o][v]
+                base = -short(s, v, counts[s][v])
+                for sl in fall[s]:
+                    base += (r & sl).bit_count()
+                for sl in rise[o]:
+                    base -= (r & sl).bit_count()
                 own[s][v] = (base + short(o, v, k),
-                             base + short(o, v, k - 1)
-                             + (rise1[s] >> v & 1) + (rise2[s] >> v & 1))
+                             base + short(o, v, k - 1) + rw[s].get(v, 0))
         # a candidate a pairs with every b, any other a with candidate b only
-        every = [(b, row[b], own[1][b]) for b in members[1] if b in own[1]]
-        some = [(b, row[b], own[1][b]) for b in out[1]]
+        every = [(b, rows[b], own[1][b]) for b in members[1] if b in own[1]]
+        some = [(b, rows[b], own[1][b]) for b in out[1]]
         best, best_pair = 0, None
         for a in members[0]:
-            ra, ta = row[a], own[0].get(a)
+            ra, ta = rows[a], own[0].get(a)
             for b, rb, tb in every if movable[0] >> a & 1 else some:
                 ab = ra >> b & 1
-                common = ra & rb
-                delta = ta[ab] + tb[ab] - (common & first).bit_count()
-                for sl in more:
+                common, delta = ra & rb, ta[ab] + tb[ab]
+                for sl in exact:
                     delta -= (common & sl).bit_count()
                 if delta < best:
                     best, best_pair = delta, (a, b)
@@ -407,8 +400,8 @@ def _swap_repair(g: Graph, center: int, conns: tuple[int, int],
         members = [sorted({*members[0], b} - {a}), sorted({*members[1], a} - {b})]
         if total + best == 0:
             break
-        ra, rb = row[a], row[b]
-        for v in row:
+        ra, rb = rows[a], rows[b]
+        for v in tracked:
             change = (rb >> v & 1) - (ra >> v & 1)
             counts[0][v] += change
             counts[1][v] -= change
@@ -520,8 +513,8 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
                     g, center, connectors, [*zip(children[pair], sets[pair])], threshold, C)
                 if viol is not None and level == tree.s:
                     # final level: children[k] is block k, whose connector is connectors[k]
-                    sets[pair] = _swap_repair(g, center, tuple(connectors[pair]),
-                                              tuple(sets[pair]), threshold, C)
+                    sets[pair] = _swap_repair(g, center, connectors,
+                                              [*zip(children[pair], sets[pair])], threshold, C)
                     viol = _block_events_violation(
                         g, center, connectors, [*zip(children[pair], sets[pair])], threshold, C)
                 if viol is not None:

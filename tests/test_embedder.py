@@ -576,9 +576,9 @@ class TestSwapRepair:
         real = partition._swap_repair
         changed = []
 
-        def spy(g, center, conns, pair, threshold, C):
-            out = real(g, center, conns, pair, threshold, C)
-            changed.append(out != pair)
+        def spy(g, center, connectors, entries, threshold, C):
+            out = real(g, center, connectors, entries, threshold, C)
+            changed.append(out != tuple(vs for _, vs in entries))
             return out
 
         monkeypatch.setattr(partition, "_swap_repair", spy)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from dirac_subdiv import partition
+from dirac_subdiv.graph import mask_of
 from dirac_subdiv import (Graph, PartitionError, block_partition,
                           complete_graph, degree_into, gen_dirac_host,
                           gen_two_clique_extremal, good_partition, HostSpec,
@@ -473,48 +474,55 @@ class TestBlockEventsReference:
                           "connector-degree", "block-ore-degree"}
 
 
-def pair_shortfall(g, center, conns, pair, tau, C):
-    """Total shortfall of two sibling blocks against the final-level events,
-    recounted from scratch in whole degrees."""
-    total = 0
-    for blk, conn in zip(pair, conns):
-        blk = set(blk)
-        full = blk | {center, conn}
-        ore = math.ceil((len(blk) + 3) / 2)
-        for v in blk:
-            total += max(0, math.ceil(tau * C) - degree_into(g, v, blk))
-        for v in (center, conn):
-            total += max(0, math.ceil(tau * len(blk)) - degree_into(g, v, blk))
-        for v in full:
-            total += max(0, ore - degree_into(g, v, full))
-    return total
+def side_rules(center, connectors, iv, side, tau, C):
+    """The (vertex, members mask, need) rules of one fresh sibling set in
+    whole degrees, stated from the documented events: a set S that splits
+    again needs tau*|S| inner degree, and tau*|S| for the center and for
+    each connector in its interval; a finished block X needs tau*C inner
+    degree, tau*|X| for the center and its connector, and Ore's (|B|+1)/2
+    in B = X + {center, connector}."""
+    S = mask_of(side)
+    if len(iv) > 1:
+        return [(v, S, math.ceil(tau * len(side)))
+                for v in (*side, center, *(connectors[ell] for ell in iv))]
+    conn = connectors[iv.start]
+    B = S | 1 << center | 1 << conn
+    return ([(v, S, math.ceil(tau * C)) for v in side]
+            + [(v, S, math.ceil(tau * len(side))) for v in (center, conn)]
+            + [(v, B, math.ceil((len(side) + 3) / 2)) for v in (*side, center, conn)])
 
 
-def exhaustive_repair(g, center, conns, pair, tau, C):
+def pair_shortfall(g, center, connectors, entries, tau, C):
+    """Total shortfall of two sibling sets, recounted from scratch."""
+    return sum(max(0, need - degree_into(g, v, members))
+               for iv, side in entries
+               for v, members, need in side_rules(center, connectors, iv, side, tau, C))
+
+
+def exhaustive_repair(g, center, connectors, entries, tau, C):
     """Steepest descent that rescores every allowed swap by recounting."""
-    a_side, b_side = set(pair[0]), set(pair[1])
+    (iv_a, a_side), (iv_b, b_side) = entries
+    a_side, b_side = set(a_side), set(b_side)
 
-    def takes_part(side, conn):
-        full = side | {center, conn}
-        ore = math.ceil((len(side) + 3) / 2)
+    def takes_part(iv, side):
         out = set()
-        for v in full:
-            need = math.ceil(tau * (C if v in side else len(side)))
-            if degree_into(g, v, side) < need or degree_into(g, v, full) < ore:
+        for v, members, need in side_rules(center, connectors, iv, side, tau, C):
+            if degree_into(g, v, members) < need:
                 out |= {u for u in side if not g.has_edge(u, v)}
         return out
 
     for _ in range(len(a_side) + len(b_side)):
-        now = pair_shortfall(g, center, conns, (a_side, b_side), tau, C)
+        now = pair_shortfall(g, center, connectors, [(iv_a, a_side), (iv_b, b_side)], tau, C)
         if now == 0:
             break
-        movable = takes_part(a_side, conns[0]) | takes_part(b_side, conns[1])
+        movable = takes_part(iv_a, a_side) | takes_part(iv_b, b_side)
         best, best_pair = 0, None
         for a in sorted(a_side):
             for b in sorted(b_side):
                 if a in movable or b in movable:
-                    after = pair_shortfall(g, center, conns, (a_side - {a} | {b},
-                                                              b_side - {b} | {a}), tau, C)
+                    after = pair_shortfall(g, center, connectors,
+                                           [(iv_a, a_side - {a} | {b}),
+                                            (iv_b, b_side - {b} | {a})], tau, C)
                     if after - now < best:
                         best, best_pair = after - now, (a, b)
         if best_pair is None:
@@ -524,6 +532,10 @@ def exhaustive_repair(g, center, conns, pair, tau, C):
     return tuple(sorted(a_side)), tuple(sorted(b_side))
 
 
+def pair_sets(entries):
+    return tuple(vs for _, vs in entries)
+
+
 def final_entries(bp):
     return [(range(ell, ell + 1), blk) for ell, blk in enumerate(bp.blocks)]
 
@@ -531,23 +543,29 @@ def final_entries(bp):
 class TestSwapRepair:
     def test_matches_exhaustive_rescoring(self):
         # the incremental scores pick the same swaps as recounting every
-        # candidate from scratch, so the bookkeeping is exact
-        rng = random.Random(5)
-        moved = 0
-        for _ in range(40):
-            n = rng.randint(16, 28)
-            g = random_gnp(n, rng.uniform(0.5, 0.85), rng)
-            vs = rng.sample(range(n), n)
-            center, conns, rest = vs[0], (vs[1], vs[2]), vs[3:]
-            k = len(rest) // 2
-            pair = (tuple(sorted(rest[:k])), tuple(sorted(rest[k:])))
-            tau, C = rng.uniform(0.35, 0.6), k + 1
-            got = partition._swap_repair(g, center, conns, pair, tau, C)
-            assert got == exhaustive_repair(g, center, conns, pair, tau, C)
-            assert sorted(got[0] + got[1]) == sorted(rest)
-            assert [len(b) for b in got] == [len(b) for b in pair]
-            moved += got != pair
-        assert moved >= 10
+        # candidate from scratch, so the bookkeeping is exact: on (block,
+        # block) pairs, which end the bisection, and on the (set, set) and
+        # (set, block) pairs that split at an inner level of d = 4 and d = 3
+        for intervals in [(range(0, 1), range(1, 2)), (range(0, 2), range(2, 4)),
+                          (range(0, 2), range(2, 3))]:
+            rng = random.Random(5)
+            moved = 0
+            d = intervals[1].stop
+            for _ in range(40):
+                n = rng.randint(16 + d, 28 + d)
+                g = random_gnp(n, rng.uniform(0.5, 0.85), rng)
+                vs = rng.sample(range(n), n)
+                center, connectors, rest = vs[0], vs[1:d + 1], vs[d + 1:]
+                k = len(rest) // 2
+                entries = [(intervals[0], tuple(sorted(rest[:k]))),
+                           (intervals[1], tuple(sorted(rest[k:])))]
+                tau, C = rng.uniform(0.35, 0.6), k + 1
+                got = partition._swap_repair(g, center, connectors, entries, tau, C)
+                assert got == exhaustive_repair(g, center, connectors, entries, tau, C)
+                assert sorted(got[0] + got[1]) == sorted(rest)
+                assert [len(b) for b in got] == [len(vs) for _, vs in entries]
+                moved += got != pair_sets(entries)
+            assert moved >= 10
 
     def test_repaired_level_passes_the_block_checks(self, monkeypatch):
         # G(48, 0.75) groups at tau = 7/16: the first final-level draw misses
@@ -557,7 +575,7 @@ class TestSwapRepair:
 
         def spy(*args):
             out = real(*args)
-            changed.append(out != args[3])
+            changed.append(out != pair_sets(args[3]))
             return out
 
         monkeypatch.setattr(partition, "_swap_repair", spy)
@@ -579,12 +597,11 @@ class TestSwapRepair:
         real = partition._swap_repair
         calls = []
 
-        def spy(g, center, conns, pair, threshold, C):
-            entries = [(range(0, 1), pair[0]), (range(1, 2), pair[1])]
+        def spy(g, center, connectors, entries, threshold, C):
             assert partition._block_events_violation(
-                g, center, conns, entries, threshold, C) is not None
-            calls.append(pair)
-            return real(g, center, conns, pair, threshold, C)
+                g, center, connectors, entries, threshold, C) is not None
+            calls.append(entries)
+            return real(g, center, connectors, entries, threshold, C)
 
         def outcome(g, seed):
             alpha = min_degree(g) / 48
@@ -601,7 +618,8 @@ class TestSwapRepair:
             monkeypatch.setattr(partition, "_swap_repair", spy)
             bp = outcome(g, seed)
             monkeypatch.setattr(partition, "_swap_repair",
-                                lambda g, center, conns, pair, threshold, C: pair)
+                                lambda g, center, connectors, entries, threshold, C:
+                                pair_sets(entries))
             drawn = outcome(g, seed)
             if not calls:
                 untouched += 1
