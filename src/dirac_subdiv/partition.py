@@ -14,12 +14,11 @@ Both stages are Las Vegas: a candidate partition is checked against the
 required degree thresholds and re-randomized on failure (whole-partition
 retries for the first stage, per-level retries for the second, since each
 bisection level conditions on the previous one). Every bisection level
-checks its draw in one pass over its fresh sibling pairs. At the final
-level a pair of sibling blocks that misses is first repaired by
-deterministic steepest-descent vertex swaps between the two, in the manner
-of Kernighan and Lin, and re-checked; only a pair the repair cannot fix
-costs another draw. Returned partitions always satisfy the advertised
-postconditions.
+checks its draw in one pass over its fresh sibling pairs; a pair that
+misses is first repaired by deterministic steepest-descent vertex swaps
+between the two, in the manner of Kernighan and Lin, and re-checked, so
+only a pair the repair cannot fix costs another draw. Returned partitions
+always satisfy the advertised postconditions.
 
 Every degree rule of both stages reads: vertex v needs at least k
 neighbours in a set X. Each stage states its rules once, as a demand table
@@ -444,13 +443,12 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     block-min-degree check of check_template, labelled "block-ore-degree"
     when it fails.
 
-    Every level checks its draw one sibling pair at a time, in order, and
-    the first pair that misses ends the draw. At the final level, where
-    every fresh set is a block, a pair that misses is first repaired:
-    _swap_repair swaps vertices between the two siblings, deterministically
-    and without drawing a seed, and the pair is checked again by the same
-    events. A draw that passes is used untouched. A level whose draw still
-    misses is re-randomized, up to level_budget draws; exhaustion raises
+    Every level checks its draw one sibling pair at a time, in order. A
+    pair that misses, sets and blocks alike, is first repaired: _swap_repair
+    swaps vertices between the two, deterministically and without drawing a
+    seed, and the same events check it again; the first pair that still
+    misses ends the draw. A draw that passes is used untouched. A missed
+    level is re-randomized, up to level_budget draws; exhaustion raises
     PartitionError naming the level and failed event, whose attempts count
     every level draw of the call (accepted levels included; repairs are not
     draws). d = 1 draws nothing: the pool is the single block, checked as
@@ -509,12 +507,10 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
                 sets += (tuple(sorted(pset[i] for i in perm[:cut])),
                          tuple(sorted(pset[i] for i in perm[cut:])))
             for pair in pairs:
-                viol = _block_events_violation(
-                    g, center, connectors, [*zip(children[pair], sets[pair])], threshold, C)
-                if viol is not None and level == tree.s:
-                    # final level: children[k] is block k, whose connector is connectors[k]
-                    sets[pair] = _swap_repair(g, center, connectors,
-                                              [*zip(children[pair], sets[pair])], threshold, C)
+                entries = [*zip(children[pair], sets[pair])]
+                viol = _block_events_violation(g, center, connectors, entries, threshold, C)
+                if viol is not None:
+                    sets[pair] = _swap_repair(g, center, connectors, entries, threshold, C)
                     viol = _block_events_violation(
                         g, center, connectors, [*zip(children[pair], sets[pair])], threshold, C)
                 if viol is not None:

@@ -558,8 +558,8 @@ class TestAttemptCounts:
 
 
 class TestSwapRepair:
-    """A final bisection level that misses is repaired by sibling swaps
-    before another draw, which moves the eps=0.25 cliff past n=64."""
+    """A sibling pair that misses is repaired by swaps before another draw,
+    at every bisection level, which moves the eps=0.25 cliff past n=64."""
 
     @pytest.mark.parametrize("n", [48, 64])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -571,6 +571,31 @@ class TestSwapRepair:
         rep = embed_subdivision(host, h, EmbedConfig(epsilon=0.25, C=12, seed=seed))
         assert rep.success and rep.master_attempts_used == 1
         assert verify_certificate(host, h, rep.certificate, require_spanning=True).ok
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_in_domain_instances_repair_inner_levels(self, monkeypatch, seed):
+        # n=64 and d = 5 = ceil(ln 64), inside the paper's domain:
+        # interval_tree(5) finishes blocks 2, 3 and 4 at level 2 of 3, beside
+        # the set [0, 2) that splits again, so level 2 needs the repair too;
+        # without it every master attempt on these seeds fails there.
+        real = partition._swap_repair
+        inner = []
+
+        def spy(g, center, connectors, entries, threshold, C):
+            out = real(g, center, connectors, entries, threshold, C)
+            ivs = [iv for iv, _ in entries]
+            if any(len(iv) > 1 for iv in ivs):
+                inner.append(partition._block_events_violation(
+                    g, center, connectors, [*zip(ivs, out)], threshold, C) is None)
+            return out
+
+        monkeypatch.setattr(partition, "_swap_repair", spy)
+        host = gen_dirac_host(HostSpec(64, 5, 12, 0.25, seed=seed))
+        h = gen_random_regular(64, 5, seed=seed)
+        rep = embed_subdivision(host, h, EmbedConfig(epsilon=0.25, C=12, seed=seed))
+        assert rep.success and rep.master_attempts_used == 1
+        assert verify_certificate(host, h, rep.certificate, require_spanning=True).ok
+        assert any(inner)
 
     def test_repaired_blocks_pass_the_template_check(self, monkeypatch):
         real = partition._swap_repair
