@@ -125,6 +125,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for axis in ("kinds", "ns", "ds", "Cs", "epsilons"):
+            if not getattr(self, axis):
+                raise ValueError(f"empty sweep grid axis {axis}")
         for k in self.kinds:
             if k not in HOST_KINDS:
                 raise ValueError(f"unknown host kind {k!r}")

@@ -21,11 +21,11 @@ only a pair the repair cannot fix costs another draw. Returned partitions
 always satisfy the advertised postconditions.
 
 Every degree rule of both stages reads: vertex v needs at least k
-neighbours in a set X. Each stage states its rules once, as a demand table
+neighbours in a set X. Each stage states its rules once, as demand tables
 of rows (label, key, W, extra, need): each vertex of W, or of the checked
 set S when W is None, needs `need` neighbours in S plus the vertex mask
-extra. _worst_violation is the one check over such a table, and
-_swap_repair reads its degree bounds from the same rows.
+extra; the block stage builds one table per tree interval per call.
+_worst_violation checks (table, S) sides; _swap_repair scores swaps on them.
 """
 
 from __future__ import annotations
@@ -80,25 +80,27 @@ class GoodnessCheck:
     min_slack: float
 
 
-def _worst_violation(rows, demands, S=(), first: bool = False):
-    """The worst miss (label, v, key, have, need) of a demand table, least
-    slack have - need and first in order on a tie, or None, and the min
-    slack over all rows; with first, the first miss in order instead."""
-    m = mask_of(S)
+def _worst_violation(rows, sides, first: bool = False):
+    """The worst miss (label, v, key, have, need) over sides, each a demand
+    table with the set S it checks, least slack have - need and first in
+    order on a tie, or None, and the min slack over all rows; with first,
+    the first miss in order instead."""
     worst, min_slack = None, math.inf
-    for label, key, W, extra, need in demands:
-        X = m | extra
-        low = math.inf
-        for v in W or S:
-            have = (rows[v] & X).bit_count()
-            if have < low:
-                low, low_v = have, v
-                if first and have < need:
-                    return (label, v, key, have, need), have - need
-        if low - need < min_slack:
-            min_slack = low - need
-            if low < need:
-                worst = (label, low_v, key, low, need)
+    for demands, S in sides:
+        m = mask_of(S)
+        for label, key, W, extra, need in demands:
+            X = m | extra
+            low = math.inf
+            for v in W or S:
+                have = (rows[v] & X).bit_count()
+                if have < low:
+                    low, low_v = have, v
+                    if first and have < need:
+                        return (label, v, key, have, need), have - need
+            if low - need < min_slack:
+                min_slack = low - need
+                if low < need:
+                    worst = (label, low_v, key, low, need)
     return worst, min_slack
 
 
@@ -146,7 +148,8 @@ def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
         want = base + (i < rem)
         if len(p) != want:
             return GoodnessCheck(False, ("part-size", i, len(p), want), -math.inf)
-    worst, min_slack = _worst_violation(g.rows, _good_demands(h.edges(), parts, threshold))
+    worst, min_slack = _worst_violation(
+        g.rows, [(_good_demands(h.edges(), parts, threshold), ())])
     return GoodnessCheck(worst is None, worst, min_slack)
 
 
@@ -186,7 +189,8 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
         for size in sizes:
             parts.append(tuple(sorted(perm[pos:pos + size])))
             pos += size
-        worst, slack = _worst_violation(g.rows, _good_demands(pattern_edges, parts, threshold))
+        worst, slack = _worst_violation(
+            g.rows, [(_good_demands(pattern_edges, parts, threshold), ())])
         if worst is None:
             return GoodPartition(tuple(parts), attempt)
         if slack < worst_slack:
@@ -206,11 +210,10 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
 class IntervalTree:
     """Balanced recursive bisection of the block indices 0..d-1.
 
-    levels[0] is the single interval [0, d); each level splits every
-    interval into halves whose lengths differ by at most one, except the
-    final level, where surviving 2-intervals split into singletons and
-    1-intervals carry over. levels[s] enumerates 0..d-1 as singletons, left
-    to right. s is the minimal integer with 2**(s-1) < d <= 2**s.
+    levels[0] is the single interval [0, d); each level halves every
+    interval of two or more, larger half first, and carries singletons
+    over. levels[s] enumerates 0..d-1 as singletons, left to right. s is
+    the minimal integer with 2**(s-1) < d <= 2**s.
     """
 
     d: int
@@ -221,26 +224,14 @@ class IntervalTree:
 def interval_tree(d: int) -> IntervalTree:
     if d < 1:
         raise ValueError("d must be >= 1")
-    s = (d - 1).bit_length()
     levels = [(range(0, d),)]
-    # full bisection down to level s-1, larger half first
-    for _ in range(max(0, s - 1)):
+    while len(levels[-1]) < d:
         nxt = []
         for iv in levels[-1]:
             mid = iv.start + (len(iv) + 1) // 2
-            nxt.append(range(iv.start, mid))
-            nxt.append(range(mid, iv.stop))
+            nxt += (range(iv.start, mid), range(mid, iv.stop)) if len(iv) > 1 else (iv,)
         levels.append(tuple(nxt))
-    if s >= 1:
-        last = []
-        for iv in levels[-1]:
-            if len(iv) == 2:
-                last.append(range(iv.start, iv.start + 1))
-                last.append(range(iv.start + 1, iv.stop))
-            else:
-                last.append(iv)
-        levels.append(tuple(last))
-    return IntervalTree(d, s, tuple(levels))
+    return IntervalTree(d, len(levels) - 1, tuple(levels))
 
 
 # --- stage 2: per-group block partition --------------------------------------
@@ -279,17 +270,6 @@ def _set_demands(iv: range, size: int, center: int, connectors, threshold: float
     return rows
 
 
-def _block_events_violation(g: Graph, center: int, connectors, entries,
-                            threshold: float, C: int):
-    """The first miss of each (interval, vertex_tuple) entry's _set_demands rows, or None."""
-    for iv, vs in entries:
-        viol, _ = _worst_violation(g.rows, _set_demands(iv, len(vs), center, connectors,
-                                                        threshold, C), vs, first=True)
-        if viol is not None:
-            return viol
-    return None
-
-
 def _slices(weights) -> list[int]:
     """Bit slices of a vertex -> weight map: slice i holds the vertices of weight > i."""
     out = [0] * max(weights.values(), default=0)
@@ -299,20 +279,19 @@ def _slices(weights) -> list[int]:
     return out
 
 
-def _swap_repair(g: Graph, center: int, connectors, entries, threshold: float,
-                 C: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Steepest-descent swaps between a sibling pair's two fresh sets, given
-    as the entries _block_events_violation takes; no randomness.
+    as the (demand rows, set) sides _worst_violation checks; no randomness.
 
-    A side X's shortfall is what its _set_demands rows miss, in whole
-    degrees: a row asking need neighbours in X + extra bounds v's count into
-    X below by ceil(need) - |N(v) & extra|. A row with W None binds every
-    vertex of the pair, since any may move into X; one with a W binds the
-    center and connectors in it. Each step makes the swap of a in the first
-    set with b in the second that most reduces the total shortfall, the
-    lowest (a, b) on a tie; a or b must be short or a non-neighbour of a
-    short vertex of its side. The pass stops at zero shortfall, when no swap
-    reduces it, or after |A|+|B| swaps.
+    A side X's shortfall is what its demand rows miss, in whole degrees: a
+    row asking need neighbours in X + extra bounds v's count into X below by
+    ceil(need) - |N(v) & extra|. A row with W None binds every vertex of the
+    pair, since any may move into X; one with a W binds the vertices in it,
+    which stay put. Each step makes the swap of a in the first set with b
+    in the second that most reduces the total shortfall, the lowest (a, b)
+    on a tie; a or b must be short or a non-neighbour of a short vertex of
+    its side. The pass stops at zero shortfall, when no swap reduces it, or
+    after |A|+|B| swaps.
 
     A count k is short by the sum of max(0, b-k) over its bounds b. A swap
     moves every other count by at most one, changing that by #(b >= k) on a
@@ -320,16 +299,16 @@ def _swap_repair(g: Graph, center: int, connectors, entries, threshold: float,
     swap's change into a term of a, a term of b, and minus the bounds met
     exactly over their common neighbours: one AND and popcount per slice.
     """
-    rows, pool = g.rows, entries[0][1] + entries[1][1]
+    pool = sides[0][1] + sides[1][1]
     bounds = ({}, {})  # per side: vertex -> the bounds its count into the side must meet
-    for (iv, X), t in zip(entries, bounds):
-        for *_, W, extra, need in _set_demands(iv, len(X), center, connectors, threshold, C):
+    for (demands, _), t in zip(sides, bounds):
+        for *_, W, extra, need in demands:
             k = math.ceil(need)
             for v in W or pool:
                 t.setdefault(v, []).append(k - (rows[v] & extra).bit_count())
-    fixed = [t.keys() - set(pool) for t in bounds]  # the center and connectors each side binds
+    fixed = [t.keys() - set(pool) for t in bounds]  # the W vertices each side binds
     tracked = bounds[0].keys() | bounds[1].keys()
-    members = [sorted(entries[0][1]), sorted(entries[1][1])]
+    members = [sorted(sides[0][1]), sorted(sides[1][1])]
     counts = [{v: (rows[v] & m).bit_count() for v in tracked}
               for m in (mask_of(members[0]), mask_of(members[1]))]
 
@@ -483,9 +462,11 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     current = [tuple(v for v in group if v not in specials)]
     threshold = alpha - delta
     tree = interval_tree(d)
+    set_size = {iv: sum(sizes[ell] for ell in iv) for level in tree.levels for iv in level}
+    demands = {iv: _set_demands(iv, k, center, connectors, threshold, C)
+               for iv, k in set_size.items()}
     if d == 1:  # the pool is the single block, nothing to draw
-        viol = _block_events_violation(
-            g, center, connectors, [(range(1), current[0])], threshold, C)
+        viol, _ = _worst_violation(rows, [(demands[range(1)], current[0])], first=True)
         if viol is not None:
             raise PartitionError(f"single-block degree event failed: {viol}",
                                  attempts=0, level=0, violation=viol)
@@ -501,18 +482,17 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
                 if len(kids) == 1:
                     sets.append(pset)  # singleton carried, already checked
                     continue
-                cut = sum(sizes[ell] for ell in kids[0])
+                cut = set_size[kids[0]]
                 perm = rng.permutation(len(pset)).tolist()
                 pairs.append(slice(len(sets), len(sets) + 2))
                 sets += (tuple(sorted(pset[i] for i in perm[:cut])),
                          tuple(sorted(pset[i] for i in perm[cut:])))
             for pair in pairs:
-                entries = [*zip(children[pair], sets[pair])]
-                viol = _block_events_violation(g, center, connectors, entries, threshold, C)
+                rules = [demands[iv] for iv in children[pair]]
+                viol, _ = _worst_violation(rows, [*zip(rules, sets[pair])], first=True)
                 if viol is not None:
-                    sets[pair] = _swap_repair(g, center, connectors, entries, threshold, C)
-                    viol = _block_events_violation(
-                        g, center, connectors, [*zip(children[pair], sets[pair])], threshold, C)
+                    sets[pair] = _swap_repair(rows, [*zip(rules, sets[pair])])
+                    viol, _ = _worst_violation(rows, [*zip(rules, sets[pair])], first=True)
                 if viol is not None:
                     break
             if viol is None:

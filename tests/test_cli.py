@@ -380,6 +380,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(kinds=("weird",), ns=(3,), ds=(2,), Cs=(6,),
                       epsilons=(0.3,), trials=1)
+        with pytest.raises(ValueError, match="empty sweep grid axis ns"):
+            SweepSpec(kinds=("complete",), ns=(), ds=(2,), Cs=(6,),
+                      epsilons=(0.3,), trials=1)
+        with pytest.raises(ValueError, match="empty sweep grid axis kinds"):
+            SweepSpec(kinds=(), ns=(3,), ds=(2,), Cs=(6,),
+                      epsilons=(0.3,), trials=1)
+        # a grid with an empty axis has no cells: a usage error, not an empty CSV
+        assert main(["sweep", "--host-kind", "complete", "--n", "", "--d", "2",
+                     "--C", "6", "--epsilon", "0.3"]) == 2
 
     def test_infeasible_blowup_rejected(self):
         with pytest.raises(ValueError, match="smallest feasible C is 6"):

@@ -581,12 +581,12 @@ class TestSwapRepair:
         real = partition._swap_repair
         inner = []
 
-        def spy(g, center, connectors, entries, threshold, C):
-            out = real(g, center, connectors, entries, threshold, C)
-            ivs = [iv for iv, _ in entries]
-            if any(len(iv) > 1 for iv in ivs):
-                inner.append(partition._block_events_violation(
-                    g, center, connectors, [*zip(ivs, out)], threshold, C) is None)
+        def spy(rows, sides):
+            out = real(rows, sides)
+            tables = [demands for demands, _ in sides]
+            if any(t[0][0] == "set-min-degree" for t in tables):  # a side splits again
+                inner.append(partition._worst_violation(
+                    rows, [*zip(tables, out)], first=True)[0] is None)
             return out
 
         monkeypatch.setattr(partition, "_swap_repair", spy)
@@ -601,9 +601,9 @@ class TestSwapRepair:
         real = partition._swap_repair
         changed = []
 
-        def spy(g, center, connectors, entries, threshold, C):
-            out = real(g, center, connectors, entries, threshold, C)
-            changed.append(out != tuple(vs for _, vs in entries))
+        def spy(rows, sides):
+            out = real(rows, sides)
+            changed.append(out != tuple(vs for _, vs in sides))
             return out
 
         monkeypatch.setattr(partition, "_swap_repair", spy)

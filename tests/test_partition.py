@@ -71,10 +71,11 @@ class TestIntervalTree:
         # exactly one penultimate interval is split at the final stage
         assert sum(1 for iv in t.levels[2] if len(iv) == 2) == 1
 
-    @pytest.mark.parametrize("d", list(range(1, 17)))
+    @pytest.mark.parametrize("d", [*range(1, 65), 127, 128, 129, 1000, 1023, 1024, 1025])
     def test_matches_reference_simulation(self, d):
         t = interval_tree(d)
         ref = reference_interval_sizes(d)
+        assert t.s == (d - 1).bit_length()
         assert len(t.levels) == len(ref)
         for lvl, ref_lvl in zip(t.levels, ref):
             assert [len(iv) for iv in lvl] == ref_lvl
@@ -447,6 +448,13 @@ def reference_block_violation(g, center, connectors, entries, tau, C):
     return None
 
 
+def block_sides(center, connectors, entries, tau, C):
+    """The (demand rows, set) sides of (interval, vertex_tuple) entries, as
+    block_partition checks and repairs a sibling pair."""
+    return [(partition._set_demands(iv, len(vs), center, connectors, tau, C), vs)
+            for iv, vs in entries]
+
+
 class TestBlockEventsReference:
     def test_first_violation_matches_a_recount(self):
         # one or two fresh sets per call, internal and finished, at
@@ -467,7 +475,8 @@ class TestBlockEventsReference:
                 entries.append((iv, tuple(sorted(rest[:k]))))
                 rest = rest[k:]
             tau, C = rng.choice([0.25, 0.5, 0.75, 0.4375]), rng.randint(4, 12)
-            got = partition._block_events_violation(g, center, connectors, entries, tau, C)
+            got, _ = partition._worst_violation(
+                g.rows, block_sides(center, connectors, entries, tau, C), first=True)
             assert got == reference_block_violation(g, center, connectors, entries, tau, C)
             labels.add(got and got[0])
         assert labels == {None, "set-min-degree", "block-min-degree", "center-degree",
@@ -560,7 +569,8 @@ class TestSwapRepair:
                 entries = [(intervals[0], tuple(sorted(rest[:k]))),
                            (intervals[1], tuple(sorted(rest[k:])))]
                 tau, C = rng.uniform(0.35, 0.6), k + 1
-                got = partition._swap_repair(g, center, connectors, entries, tau, C)
+                got = partition._swap_repair(
+                    g.rows, block_sides(center, connectors, entries, tau, C))
                 assert got == exhaustive_repair(g, center, connectors, entries, tau, C)
                 assert sorted(got[0] + got[1]) == sorted(rest)
                 assert [len(b) for b in got] == [len(vs) for _, vs in entries]
@@ -575,7 +585,7 @@ class TestSwapRepair:
 
         def spy(*args):
             out = real(*args)
-            changed.append(out != pair_sets(args[3]))
+            changed.append(out != pair_sets(args[1]))
             return out
 
         monkeypatch.setattr(partition, "_swap_repair", spy)
@@ -586,7 +596,7 @@ class TestSwapRepair:
             bp = block_partition(g, range(48), 0, [1, 2, 3, 4], alpha=alpha,
                                  delta=alpha - 0.4375, seed=seed)
             assert bp.attempts == 2 and any(changed)
-            assert partition._block_events_violation(
+            assert reference_block_violation(
                 g, 0, bp.connectors, final_entries(bp), 0.4375, 12) is None
             assert ore_bound_holds(g, bp)
             assert block_postconditions_hold(g, range(48), bp, alpha, alpha - 0.4375, 12)
@@ -597,11 +607,10 @@ class TestSwapRepair:
         real = partition._swap_repair
         calls = []
 
-        def spy(g, center, connectors, entries, threshold, C):
-            assert partition._block_events_violation(
-                g, center, connectors, entries, threshold, C) is not None
-            calls.append(entries)
-            return real(g, center, connectors, entries, threshold, C)
+        def spy(rows, sides):
+            assert partition._worst_violation(rows, sides, first=True)[0] is not None
+            calls.append(sides)
+            return real(rows, sides)
 
         def outcome(g, seed):
             alpha = min_degree(g) / 48
@@ -618,8 +627,7 @@ class TestSwapRepair:
             monkeypatch.setattr(partition, "_swap_repair", spy)
             bp = outcome(g, seed)
             monkeypatch.setattr(partition, "_swap_repair",
-                                lambda g, center, connectors, entries, threshold, C:
-                                pair_sets(entries))
+                                lambda rows, sides: pair_sets(sides))
             drawn = outcome(g, seed)
             if not calls:
                 untouched += 1
