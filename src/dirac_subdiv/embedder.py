@@ -198,10 +198,10 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
 
     Stage thresholds follow the proof chain: the whole-host partition is
     checked at (1+eps)/2 minus eps/2, and the per-group block partitions at
-    that value minus eps/4. The block stage also checks every finished
-    block, branch vertex and connector included, at Ore's bound
+    that value minus eps/4. The block stage also checks every block,
+    branch vertex and connector included, at Ore's bound
     (|block|+1)/2, so a block that would fail check_template's
-    block-min-degree is re-drawn at its own bisection level instead of
+    block-min-degree is repaired or re-drawn with its group instead of
     failing the whole attempt. Raises PartitionError when a randomized
     stage exhausts its budget, and ValueError when the inputs are
     structurally unsuitable or the host misses the degree bound (the latter
@@ -210,7 +210,7 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     the label and the witness.
 
     When `counts` is given, every good-partition draw is added to
-    counts["good_partition"] and every block-level draw to
+    counts["good_partition"] and every block-partition group draw to
     counts["block_levels"] as it happens, so the tally survives a raise.
     """
     n, d, C = resolve_dimensions(g, h, cfg)

@@ -3,28 +3,27 @@
 Two stages. First, an equitable random partition of the whole host into one
 group per pattern vertex, accepted only if every group and every
 pattern-edge group pair induces large minimum degree. Second, inside one
-group, a recursive random bisection guided by a balanced interval tree that
-carves out one block per connector while preserving degree margins for the
-group's center vertex, its connectors, and every block vertex. A finished
-block is accepted only when, with the center and its connector added, it
+group, a uniformly random split of the group, center and connectors
+excepted, into one block per connector. A block is accepted only with
+large inner degree, with large degree from the group's center and from its
+connector into it, and when, with the center and its connector added, it
 meets Ore's bound min degree >= (|B|+1)/2, so every block the second stage
 returns passes the template's block-degree check.
 
 Both stages are Las Vegas: a candidate partition is checked against the
-required degree thresholds and re-randomized on failure (whole-partition
-retries for the first stage, per-level retries for the second, since each
-bisection level conditions on the previous one). Every bisection level
-checks its draw in one pass over its fresh sibling pairs; a pair that
-misses is first repaired by deterministic steepest-descent vertex swaps
-between the two, in the manner of Kernighan and Lin, and re-checked, so
-only a pair the repair cannot fix costs another draw. Returned partitions
+required degree thresholds and re-randomized on failure. A block split
+that misses is first repaired by deterministic steepest-descent vertex
+swaps between a failing block and another block of its group, in the
+manner of Kernighan and Lin; blocks of one group share only the center, so
+a swap between two of them leaves every other block's check as it was, and
+only a split the repair cannot fix costs another draw. Returned partitions
 always satisfy the advertised postconditions.
 
 Every degree rule of both stages reads: vertex v needs at least k
 neighbours in a set X. Each stage states its rules once, as demand tables
 of rows (label, key, W, extra, need): each vertex of W, or of the checked
 set S when W is None, needs `need` neighbours in S plus the vertex mask
-extra; the block stage builds one table per tree interval per call.
+extra; the block stage builds one table per block per call.
 _worst_violation checks (table, S) sides; _swap_repair scores swaps on them.
 """
 
@@ -214,6 +213,8 @@ class IntervalTree:
     interval of two or more, larger half first, and carries singletons
     over. levels[s] enumerates 0..d-1 as singletons, left to right. s is
     the minimal integer with 2**(s-1) < d <= 2**s.
+
+    The pipeline does not call it; acceptance criterion 6 tests it.
     """
 
     d: int
@@ -243,7 +244,8 @@ class BlockPartition:
 
     blocks[i] is the block assigned to connectors[i]; the center and the
     connectors themselves are excluded from every block. attempts counts
-    level re-randomizations used across the whole bisection.
+    the group draws used, the accepted one included (0 for d = 1, which
+    draws nothing).
     """
 
     center: int
@@ -252,22 +254,17 @@ class BlockPartition:
     attempts: int
 
 
-def _set_demands(iv: range, size: int, center: int, connectors, threshold: float, C: int):
-    """The demand rows of a fresh bisection set S of the given size, as
-    block_partition states them, in check order: inner degree, center,
-    each connector iv indexes, then for a finished block (a singleton iv)
-    Ore's bound on every vertex of S + {center, connector}, S first."""
-    key, need, final = tuple(iv), threshold * size, len(iv) == 1
-    conns = connectors[iv.start:iv.stop]
-    rows = [("block-min-degree" if final else "set-min-degree", key, None, 0,
-             threshold * C if final else need),
-            ("center-degree", key, (center,), 0, need),
-            ("connector-degree", key, conns, 0, need)]
-    if final:
-        ends, extra = (center, *conns), 1 << center | 1 << conns[0]
-        ore = (size + 3) / 2  # (|B|+1)/2 with |B| = size + 2
-        rows += [("block-ore-degree", key, W, extra, ore) for W in (None, ends)]
-    return rows
+def _block_demands(i: int, size: int, center: int, connector: int,
+                   threshold: float, C: int):
+    """The demand rows of block i of the given size, as block_partition
+    states them, in check order: inner degree, center, connector, then Ore's
+    bound on every vertex of B = S + {center, connector}, S first."""
+    need, extra = threshold * size, 1 << center | 1 << connector
+    ore = (size + 3) / 2  # (|B|+1)/2 with |B| = size + 2
+    return [("block-min-degree", i, None, 0, threshold * C),
+            ("center-degree", i, (center,), 0, need),
+            ("connector-degree", i, (connector,), 0, need),
+            *(("block-ore-degree", i, W, extra, ore) for W in (None, (center, connector)))]
 
 
 def _slices(weights) -> list[int]:
@@ -280,8 +277,8 @@ def _slices(weights) -> list[int]:
 
 
 def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Steepest-descent swaps between a sibling pair's two fresh sets, given
-    as the (demand rows, set) sides _worst_violation checks; no randomness.
+    """Steepest-descent swaps between two blocks of one group, given as the
+    (demand rows, set) sides _worst_violation checks; no randomness.
 
     A side X's shortfall is what its demand rows miss, in whole degrees: a
     row asking need neighbours in X + extra bounds v's count into X below by
@@ -407,32 +404,29 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
                     level_budget: int = 50, seed: int = 0) -> BlockPartition:
     """Split a group of C*d + r vertices, 0 <= r < d, into d verified blocks.
 
-    The group minus {center} and the d connectors is bisected recursively
-    following interval_tree(d): at each level every current set splits
-    uniformly at random into two sets whose target sizes are the sums of the
-    block sizes below each child interval. Block i ends with C-1 vertices
-    (C-2 for the last block), plus one more for the first r blocks.
+    Each draw takes one uniformly random permutation of the group minus
+    {center} and the d connectors and cuts it into the d block sizes: block
+    i has C-1 vertices (C-2 for the last block), plus one more for the
+    first r blocks.
 
-    A level is accepted only if every freshly split set S keeps, at
-    threshold tau = alpha - delta: induced min degree >= tau*|S| (>= tau*C
-    once S is a finished block), degree of the center into S >= tau*|S|, and
-    degree of each connector indexed inside S's interval >= tau*|S|. A
-    finished block must also meet Ore's bound with its center and connector
-    added: B = S + {center, connector} has min degree >= (|B|+1)/2, the
-    block-min-degree check of check_template, labelled "block-ore-degree"
-    when it fails.
+    A block S is accepted only if, at threshold tau = alpha - delta, it has
+    induced min degree >= tau*C, the center and its connector each have
+    degree >= tau*|S| into it, and with the center and its connector added,
+    B = S + {center, connector} meets Ore's bound min degree >= (|B|+1)/2,
+    the block-min-degree check of check_template, labelled
+    "block-ore-degree" when it fails.
 
-    Every level checks its draw one sibling pair at a time, in order. A
-    pair that misses, sets and blocks alike, is first repaired: _swap_repair
-    swaps vertices between the two, deterministically and without drawing a
-    seed, and the same events check it again; the first pair that still
-    misses ends the draw. A draw that passes is used untouched. A missed
-    level is re-randomized, up to level_budget draws; exhaustion raises
-    PartitionError naming the level and failed event, whose attempts count
-    every level draw of the call (accepted levels included; repairs are not
-    draws). d = 1 draws nothing: the pool is the single block, checked as
-    is. Requires the induced group min degree to be at least alpha*|group|
-    and a feasible C (check_blowup).
+    A draw that misses is repaired, round by round: the lowest-index
+    failing block is passed to _swap_repair with each other block in index
+    order, deterministically and without drawing a seed, and the first pair
+    after which both pass is kept. Each round passes one more block, so at
+    most d rounds run; a failing block that no partner repairs ends the
+    draw. A draw that passes is used untouched. A missed draw is replaced
+    by a fresh one, up to level_budget draws; exhaustion raises
+    PartitionError at level 1 with the last failed event, whose attempts
+    count every draw. d = 1 draws nothing: the pool is the single block,
+    checked as is, and a miss raises at level 0. Requires the induced group
+    min degree to be at least alpha*|group| and a feasible C (check_blowup).
     """
     if not (0 < delta < alpha):
         raise ValueError("need 0 < delta < alpha")
@@ -459,52 +453,38 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     check_blowup(C, alpha, delta)
 
     sizes = [(C - 1 if ell < d - 1 else C - 2) + (ell < extras) for ell in range(d)]
-    current = [tuple(v for v in group if v not in specials)]
+    pool = tuple(v for v in group if v not in specials)
     threshold = alpha - delta
-    tree = interval_tree(d)
-    set_size = {iv: sum(sizes[ell] for ell in iv) for level in tree.levels for iv in level}
-    demands = {iv: _set_demands(iv, k, center, connectors, threshold, C)
-               for iv, k in set_size.items()}
+    demands = [_block_demands(ell, k, center, connectors[ell], threshold, C)
+               for ell, k in enumerate(sizes)]
     if d == 1:  # the pool is the single block, nothing to draw
-        viol, _ = _worst_violation(rows, [(demands[range(1)], current[0])], first=True)
+        viol, _ = _worst_violation(rows, [(demands[0], pool)], first=True)
         if viol is not None:
             raise PartitionError(f"single-block degree event failed: {viol}",
                                  attempts=0, level=0, violation=viol)
+        return BlockPartition(center, tuple(connectors), (pool,), 0)
 
-    total_attempts = 0
-    for level in range(1, tree.s + 1):
-        children = tree.levels[level]
-        for attempt in range(1, level_budget + 1):
-            rng = make_rng(spawn_seed(seed, 0x0B, level, attempt))
-            sets, pairs = [], []  # sets[k] is children[k]'s set; pairs slice fresh siblings
-            for parent, pset in zip(tree.levels[level - 1], current):
-                kids = [iv for iv in children if iv.start in parent]
-                if len(kids) == 1:
-                    sets.append(pset)  # singleton carried, already checked
-                    continue
-                cut = set_size[kids[0]]
-                perm = rng.permutation(len(pset)).tolist()
-                pairs.append(slice(len(sets), len(sets) + 2))
-                sets += (tuple(sorted(pset[i] for i in perm[:cut])),
-                         tuple(sorted(pset[i] for i in perm[cut:])))
-            for pair in pairs:
-                rules = [demands[iv] for iv in children[pair]]
-                viol, _ = _worst_violation(rows, [*zip(rules, sets[pair])], first=True)
-                if viol is not None:
-                    sets[pair] = _swap_repair(rows, [*zip(rules, sets[pair])])
-                    viol, _ = _worst_violation(rows, [*zip(rules, sets[pair])], first=True)
-                if viol is not None:
-                    break
-            if viol is None:
-                current = sets
-                total_attempts += attempt
+    ends = [sum(sizes[:ell]) for ell in range(d + 1)]
+    for attempt in range(1, level_budget + 1):
+        # a group draw is level 1, in its seed path as in PartitionError
+        perm = make_rng(spawn_seed(seed, 0x0B, 1, attempt)).permutation(len(pool)).tolist()
+        blocks = [tuple(sorted(pool[i] for i in perm[a:b])) for a, b in zip(ends, ends[1:])]
+        # each round repairs the lowest failing block i with the first
+        # partner j after which both pass; a swap moves no other block, so
+        # every round passes one more block, or the draw fails
+        while (viol := _worst_violation(rows, [*zip(demands, blocks)], first=True)[0]):
+            i = viol[2]  # a block row's key is the block's index
+            for j in range(d):
+                if j != i:
+                    pair = _swap_repair(rows, [(demands[i], blocks[i]), (demands[j], blocks[j])])
+                    if _worst_violation(rows, [(demands[i], pair[0]), (demands[j], pair[1])],
+                                        first=True)[0] is None:
+                        blocks[i], blocks[j] = pair
+                        break
+            else:
                 break
         else:
-            raise PartitionError(
-                f"level {level} degree events failed {level_budget} times; "
-                f"last violation: {viol}",
-                attempts=total_attempts + level_budget, level=level,
-                violation=viol)
-
-    assert [len(b) for b in current] == sizes
-    return BlockPartition(center, tuple(connectors), tuple(current), total_attempts)
+            return BlockPartition(center, tuple(connectors), tuple(blocks), attempt)
+    raise PartitionError(
+        f"group draw failed {level_budget} times; last violation: {viol}",
+        attempts=level_budget, level=1, violation=viol)

@@ -13,7 +13,8 @@ from dirac_subdiv import (EmbedConfig, Graph,
                           certificate_to_json, check_template, complete_graph,
                           embed_subdivision, gen_dirac_host,
                           gen_random_regular, gen_two_clique_extremal, glue,
-                          HostSpec, PartitionError, verify_certificate)
+                          HostSpec, PartitionError, interval_tree,
+                          verify_certificate)
 from dirac_subdiv.embedder import TemplateCheck, _select_connectors_and_branch
 from dirac_subdiv.generators import dirac_degree_bound
 
@@ -28,13 +29,14 @@ def template_copy(t, branch=None, connectors=None, blocks=None):
         size_window=t.size_window)
 
 
-def multipartite_at_bound(N, eps):
+def multipartite_at_bound(N, eps, seed=0):
     """The complete multipartite host on N vertices whose parts have at most
-    N - ceil((1+eps)N/2) vertices, randomly relabelled: every vertex has
-    degree at least the bound, and the largest parts' vertices exactly it."""
+    N - ceil((1+eps)N/2) vertices, relabelled at random by seed: every
+    vertex has degree at least the bound, and the largest parts' vertices
+    exactly it."""
     k = N - dirac_degree_bound(N, eps)
     sizes = [k] * (N // k) + ([N % k] if N % k else [])
-    part = np.random.default_rng(0).permutation(np.repeat(range(len(sizes)), sizes))
+    part = np.random.default_rng(seed).permutation(np.repeat(range(len(sizes)), sizes))
     u, v = np.triu_indices(N, 1)
     cross = part[u] != part[v]
     return Graph(N, np.stack([u[cross], v[cross]], axis=1))
@@ -413,7 +415,7 @@ class TestHamiltonStage:
         h = complete_graph(4)
         r = embed_subdivision(host, h, EmbedConfig(0.25, C=12, seed=5))
         text = certificate_to_json(r.certificate)
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e96ec15a6c5acc7a"
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "3ba92f98bfa71821"
         assert r.master_attempts_used == 1 and builds == []
         assert len(blocks) == 2 * h.edge_count
         assert sorted(v for b in blocks for v in b) == sorted(
@@ -532,11 +534,11 @@ class TestAttemptCounts:
         # eps=0.25, N=768): parts of 288, 288 and 192 vertices, so the
         # min degree is exactly 480 = ceil((1+eps)N/2). A block of 11
         # has inner degree >= tau*C = 5.25 only with at most 5 vertices of
-        # each part, which the first bisection level can already rule out,
-        # so each attempt exhausts the final level of some group, swap
-        # repair included. Every draw derives its seed through
-        # partition.spawn_seed with a stage tag (0x0A good partition, 0x0B
-        # block level), which is tallied here.
+        # each part, which a group of 48 with more than about 24 of one part
+        # cannot give all its blocks, so each attempt exhausts the group
+        # draws of some group, repairs included. Every draw derives its seed
+        # through partition.spawn_seed with a stage tag (0x0A good
+        # partition, 0x0B group draw), which is tallied here.
         host = multipartite_at_bound(768, 0.25)
         pattern = gen_random_regular(16, 4, seed=0)
         real = partition.spawn_seed
@@ -554,12 +556,13 @@ class TestAttemptCounts:
             "good_partition": tags.count(0x0A),
             "block_levels": tags.count(0x0B)}
         assert rep.stage_attempts["good_partition"] >= 3
-        assert rep.stage_attempts["block_levels"] > 3 * 50
+        assert rep.stage_attempts["block_levels"] >= 3 * 50
 
 
 class TestSwapRepair:
-    """A sibling pair that misses is repaired by swaps before another draw,
-    at every bisection level, which moves the eps=0.25 cliff past n=64."""
+    """A group draw that misses is repaired by swaps between a failing block
+    and any other block of its group before another draw, which moves the
+    eps=0.25 cliff past n=64 and embeds hosts at the degree bound."""
 
     @pytest.mark.parametrize("n", [48, 64])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -574,19 +577,18 @@ class TestSwapRepair:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_in_domain_instances_repair_inner_levels(self, monkeypatch, seed):
-        # n=64 and d = 5 = ceil(ln 64), inside the paper's domain:
-        # interval_tree(5) finishes blocks 2, 3 and 4 at level 2 of 3, beside
-        # the set [0, 2) that splits again, so level 2 needs the repair too;
-        # without it every master attempt on these seeds fails there.
+        # n=64 and d = 5 = ceil(ln 64), inside the paper's domain: some
+        # accepted repair pairs two blocks that are not siblings in
+        # interval_tree(5), whose only sibling blocks are {0, 1} and {3, 4},
+        # a trade that recursive bisection could not make
         real = partition._swap_repair
-        inner = []
+        accepted = []
 
         def spy(rows, sides):
             out = real(rows, sides)
-            tables = [demands for demands, _ in sides]
-            if any(t[0][0] == "set-min-degree" for t in tables):  # a side splits again
-                inner.append(partition._worst_violation(
-                    rows, [*zip(tables, out)], first=True)[0] is None)
+            if partition._worst_violation(
+                    rows, [(t, vs) for (t, _), vs in zip(sides, out)], first=True)[0] is None:
+                accepted.append({t[0][1] for t, _ in sides})
             return out
 
         monkeypatch.setattr(partition, "_swap_repair", spy)
@@ -595,7 +597,22 @@ class TestSwapRepair:
         rep = embed_subdivision(host, h, EmbedConfig(epsilon=0.25, C=12, seed=seed))
         assert rep.success and rep.master_attempts_used == 1
         assert verify_certificate(host, h, rep.certificate, require_spanning=True).ok
-        assert any(inner)
+        siblings = [set(iv) for level in interval_tree(5).levels for iv in level
+                    if len(iv) == 2]  # an interval of two splits into sibling blocks
+        assert siblings == [{3, 4}, {0, 1}]
+        assert any(pair not in siblings for pair in accepted)
+
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_hosts_at_the_bound_embed(self, seed):
+        # a complete multipartite host at the degree bound (n=16, d=4,
+        # eps=0.25, C=24, N=1536), relabelled by the seed; with blocks
+        # drawn by recursive bisection and repaired only in sibling pairs,
+        # all five master attempts on these seeds fail in the block stage
+        host = multipartite_at_bound(1536, 0.25, seed=seed)
+        h = gen_random_regular(16, 4, seed=seed)
+        rep = embed_subdivision(host, h, EmbedConfig(epsilon=0.25, C=24, seed=seed))
+        assert rep.success and rep.master_attempts_used == 1
+        assert verify_certificate(host, h, rep.certificate, require_spanning=True).ok
 
     def test_repaired_blocks_pass_the_template_check(self, monkeypatch):
         real = partition._swap_repair

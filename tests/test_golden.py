@@ -35,7 +35,7 @@ def test_certificate():
     host = gen_dirac_host(HostSpec(4, 3, 12, 0.25, seed=1005))
     report = embed_subdivision(host, complete_graph(4),
                                EmbedConfig(0.25, C=12, seed=5))
-    assert digest(certificate_to_json(report.certificate)) == "e96ec15a6c5acc7a"
+    assert digest(certificate_to_json(report.certificate)) == "3ba92f98bfa71821"
 
 
 def test_certificate_non_divisible_order():
@@ -47,10 +47,10 @@ def test_certificate_non_divisible_order():
 
 def test_block_partition_outcomes():
     # G(N, 0.8) groups at tau = 7/16 for d = 1..8, C = 12 and 16, and
-    # remainders 0 and d-1: blocks and level draws of every success, and
-    # message, draws, level and violation of every PartitionError. d = 3, 5,
-    # 6 and 7 carry singletons through a level; levels 0 and 2 each
-    # exhaust their budget somewhere in the grid.
+    # remainders 0 and d-1: blocks and group draws of every success, and
+    # message, draws, level and violation of every PartitionError. Every
+    # group with d >= 2 is accepted at its first draw, repairs included;
+    # five d = 1 pools fail their single check at level 0.
     outcomes = []
     for C in (12, 16):
         for d in range(1, 9):
@@ -67,7 +67,7 @@ def test_block_partition_outcomes():
                     except PartitionError as err:
                         outcomes.append((str(err), err.attempts, err.level,
                                          err.violation))
-    assert digest(repr(outcomes)) == "7e4c845659acbf96"
+    assert digest(repr(outcomes)) == "e596f696088645cc"
 
 
 def test_good_partition_outcomes():

@@ -311,41 +311,26 @@ class TestBlockPartition:
                              connectors=[1], alpha=0.5, delta=0.1)
         assert bp.attempts == 0
 
-    def test_level_budget_exhaustion(self):
+    def test_level_budget_exhaustion(self, monkeypatch):
         # complete bipartite group: no size-10 block can have min degree
         # 0.49*12 inside itself, since that would need 6 vertices of each
-        # side among 10
+        # side among 10; the error counts one 0x0B seed per group draw
+        real = partition.spawn_seed
+        tags = []
+
+        def spy(*parts):
+            tags.append(parts[1])
+            return real(*parts)
+
+        monkeypatch.setattr(partition, "spawn_seed", spy)
         g = Graph(24, [(u, v) for u in range(12) for v in range(12, 24)])
         with pytest.raises(PartitionError) as exc:
             block_partition(g, range(24), center=0, connectors=[1, 12],
                             alpha=0.5, delta=0.01, level_budget=3, seed=5)
         err = exc.value
         assert err.level == 1
-        assert err.attempts == 3
+        assert err.attempts == 3 == tags.count(0x0B) == len(tags)
         assert err.violation is not None
-
-    def test_exhaustion_counts_accepted_levels(self, monkeypatch):
-        # a 0.7-dense random group: level 1 is accepted after a few draws,
-        # level 2 fails all of its budget; the error counts both
-        g = random_gnp(48, 0.7, random.Random(0))
-        alpha = min_degree(g) / 48
-        real = partition.spawn_seed
-        draws = []
-
-        def spy(*parts):
-            draws.append(parts)
-            return real(*parts)
-
-        monkeypatch.setattr(partition, "spawn_seed", spy)
-        with pytest.raises(PartitionError) as exc:
-            block_partition(g, range(48), center=0, connectors=[1, 2, 3, 4],
-                            alpha=alpha, delta=alpha - 0.4375, level_budget=5,
-                            seed=3)
-        err = exc.value
-        assert err.level == 2
-        level1 = sum(1 for p in draws if p[2] == 1)
-        assert level1 >= 1 and len(draws) == level1 + 5
-        assert err.attempts == len(draws)
 
     def test_preconditions(self):
         g = complete_graph(16)
@@ -392,7 +377,7 @@ class TestBlockOreBound:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_returned_blocks_meet_ore_bound(self, d):
         # G(N, p) groups at the group's own min-degree ratio, with and without
-        # extras; d = 3 and 5 carry a singleton through the final level
+        # extras
         C = 12
         returned = 0
         for extras in sorted({0, d - 1}):
@@ -421,44 +406,43 @@ class TestBlockOreBound:
         with pytest.raises(PartitionError) as exc:
             block_partition(g, range(10), center=0, connectors=[1],
                             alpha=0.5, delta=0.1)
-        assert exc.value.violation == ("block-ore-degree", 0, (0,), 5, 5.5)
+        assert exc.value.violation == ("block-ore-degree", 0, 0, 5, 5.5)
 
 
 def reference_block_violation(g, center, connectors, entries, tau, C):
     """The first missed block-stage event, recounted edge by edge in the
-    documented order: per entry, the inner degree of each vertex of S, the
-    center's and each connector's degree into S, then for a finished block
-    Ore's bound in B = S + {center, connector}: S, the center, the connector."""
+    documented order: per (block index, vertex tuple) entry, the inner
+    degree of each vertex of S, the center's and the block's connector's
+    degree into S, then Ore's bound in B = S + {center, connector}: S, the
+    center, the connector."""
     def have(v, members):
         return sum(g.has_edge(v, u) for u in members)
 
-    for iv, vs in entries:
-        S, final = set(vs), len(iv) == 1
-        events = [("block-min-degree" if final else "set-min-degree", v, S,
-                   tau * (C if final else len(vs))) for v in vs]
-        events += [("center-degree", center, S, tau * len(vs))]
-        events += [("connector-degree", connectors[ell], S, tau * len(vs)) for ell in iv]
-        if final:
-            B = S | {center, connectors[iv.start]}
-            events += [("block-ore-degree", v, B, (len(B) + 1) / 2)
-                       for v in (*vs, center, connectors[iv.start])]
+    for i, vs in entries:
+        S, conn = set(vs), connectors[i]
+        B = S | {center, conn}
+        events = [("block-min-degree", v, S, tau * C) for v in vs]
+        events += [("center-degree", center, S, tau * len(vs)),
+                   ("connector-degree", conn, S, tau * len(vs))]
+        events += [("block-ore-degree", v, B, (len(B) + 1) / 2)
+                   for v in (*vs, center, conn)]
         for label, v, members, need in events:
             if have(v, members) < need:
-                return (label, v, tuple(iv), have(v, members), need)
+                return (label, v, i, have(v, members), need)
     return None
 
 
 def block_sides(center, connectors, entries, tau, C):
-    """The (demand rows, set) sides of (interval, vertex_tuple) entries, as
-    block_partition checks and repairs a sibling pair."""
-    return [(partition._set_demands(iv, len(vs), center, connectors, tau, C), vs)
-            for iv, vs in entries]
+    """The (demand rows, set) sides of (block index, vertex tuple) entries,
+    as block_partition checks and repairs them."""
+    return [(partition._block_demands(i, len(vs), center, connectors[i], tau, C), vs)
+            for i, vs in entries]
 
 
 class TestBlockEventsReference:
     def test_first_violation_matches_a_recount(self):
-        # one or two fresh sets per call, internal and finished, at
-        # thresholds with integer and fractional needs
+        # one or two blocks per call, in any index order, at thresholds with
+        # integer and fractional needs
         rng = random.Random(17)
         labels = set()
         for _ in range(300):
@@ -468,70 +452,62 @@ class TestBlockEventsReference:
             rest = [v for v in range(g.n) if v != center and v not in connectors]
             rng.shuffle(rest)
             entries = []
-            for _ in range(rng.randint(1, 2)):
-                start = rng.randrange(d)
-                iv = range(start, rng.randint(start + 1, d))
+            for i in rng.sample(range(d), min(d, rng.randint(1, 2))):
                 k = rng.randint(1, len(rest) // 2)
-                entries.append((iv, tuple(sorted(rest[:k]))))
+                entries.append((i, tuple(sorted(rest[:k]))))
                 rest = rest[k:]
-            tau, C = rng.choice([0.25, 0.5, 0.75, 0.4375]), rng.randint(4, 12)
+            tau, C = rng.choice([0.25, 0.5, 0.75, 0.4375]), rng.randint(1, 12)
             got, _ = partition._worst_violation(
                 g.rows, block_sides(center, connectors, entries, tau, C), first=True)
             assert got == reference_block_violation(g, center, connectors, entries, tau, C)
             labels.add(got and got[0])
-        assert labels == {None, "set-min-degree", "block-min-degree", "center-degree",
+        assert labels == {None, "block-min-degree", "center-degree",
                           "connector-degree", "block-ore-degree"}
 
 
-def side_rules(center, connectors, iv, side, tau, C):
-    """The (vertex, members mask, need) rules of one fresh sibling set in
-    whole degrees, stated from the documented events: a set S that splits
-    again needs tau*|S| inner degree, and tau*|S| for the center and for
-    each connector in its interval; a finished block X needs tau*C inner
-    degree, tau*|X| for the center and its connector, and Ore's (|B|+1)/2
-    in B = X + {center, connector}."""
+def side_rules(center, connector, side, tau, C):
+    """The (vertex, members mask, need) rules of one block X in whole
+    degrees, stated from the documented events: tau*C inner degree, tau*|X|
+    for the center and its connector, and Ore's (|B|+1)/2 in
+    B = X + {center, connector}."""
     S = mask_of(side)
-    if len(iv) > 1:
-        return [(v, S, math.ceil(tau * len(side)))
-                for v in (*side, center, *(connectors[ell] for ell in iv))]
-    conn = connectors[iv.start]
-    B = S | 1 << center | 1 << conn
+    B = S | 1 << center | 1 << connector
     return ([(v, S, math.ceil(tau * C)) for v in side]
-            + [(v, S, math.ceil(tau * len(side))) for v in (center, conn)]
-            + [(v, B, math.ceil((len(side) + 3) / 2)) for v in (*side, center, conn)])
+            + [(v, S, math.ceil(tau * len(side))) for v in (center, connector)]
+            + [(v, B, math.ceil((len(side) + 3) / 2)) for v in (*side, center, connector)])
 
 
 def pair_shortfall(g, center, connectors, entries, tau, C):
-    """Total shortfall of two sibling sets, recounted from scratch."""
+    """Total shortfall of two blocks, recounted from scratch."""
     return sum(max(0, need - degree_into(g, v, members))
-               for iv, side in entries
-               for v, members, need in side_rules(center, connectors, iv, side, tau, C))
+               for i, side in entries
+               for v, members, need in side_rules(center, connectors[i], side, tau, C))
 
 
 def exhaustive_repair(g, center, connectors, entries, tau, C):
     """Steepest descent that rescores every allowed swap by recounting."""
-    (iv_a, a_side), (iv_b, b_side) = entries
+    (i, a_side), (j, b_side) = entries
     a_side, b_side = set(a_side), set(b_side)
 
-    def takes_part(iv, side):
+    def takes_part(k, side):
         out = set()
-        for v, members, need in side_rules(center, connectors, iv, side, tau, C):
+        for v, members, need in side_rules(center, connectors[k], side, tau, C):
             if degree_into(g, v, members) < need:
                 out |= {u for u in side if not g.has_edge(u, v)}
         return out
 
     for _ in range(len(a_side) + len(b_side)):
-        now = pair_shortfall(g, center, connectors, [(iv_a, a_side), (iv_b, b_side)], tau, C)
+        now = pair_shortfall(g, center, connectors, [(i, a_side), (j, b_side)], tau, C)
         if now == 0:
             break
-        movable = takes_part(iv_a, a_side) | takes_part(iv_b, b_side)
+        movable = takes_part(i, a_side) | takes_part(j, b_side)
         best, best_pair = 0, None
         for a in sorted(a_side):
             for b in sorted(b_side):
                 if a in movable or b in movable:
                     after = pair_shortfall(g, center, connectors,
-                                           [(iv_a, a_side - {a} | {b}),
-                                            (iv_b, b_side - {b} | {a})], tau, C)
+                                           [(i, a_side - {a} | {b}),
+                                            (j, b_side - {b} | {a})], tau, C)
                     if after - now < best:
                         best, best_pair = after - now, (a, b)
         if best_pair is None:
@@ -545,29 +521,24 @@ def pair_sets(entries):
     return tuple(vs for _, vs in entries)
 
 
-def final_entries(bp):
-    return [(range(ell, ell + 1), blk) for ell, blk in enumerate(bp.blocks)]
-
-
 class TestSwapRepair:
     def test_matches_exhaustive_rescoring(self):
         # the incremental scores pick the same swaps as recounting every
-        # candidate from scratch, so the bookkeeping is exact: on (block,
-        # block) pairs, which end the bisection, and on the (set, set) and
-        # (set, block) pairs that split at an inner level of d = 4 and d = 3
-        for intervals in [(range(0, 1), range(1, 2)), (range(0, 2), range(2, 4)),
-                          (range(0, 2), range(2, 3))]:
+        # candidate from scratch, so the bookkeeping is exact: on block
+        # pairs in index order and against it, as the group repair pairs a
+        # failing block with any other block of its group
+        d = 4
+        for pair in [(0, 1), (1, 0), (3, 2)]:
             rng = random.Random(5)
             moved = 0
-            d = intervals[1].stop
             for _ in range(40):
                 n = rng.randint(16 + d, 28 + d)
                 g = random_gnp(n, rng.uniform(0.5, 0.85), rng)
                 vs = rng.sample(range(n), n)
                 center, connectors, rest = vs[0], vs[1:d + 1], vs[d + 1:]
                 k = len(rest) // 2
-                entries = [(intervals[0], tuple(sorted(rest[:k]))),
-                           (intervals[1], tuple(sorted(rest[k:])))]
+                entries = [(pair[0], tuple(sorted(rest[:k]))),
+                           (pair[1], tuple(sorted(rest[k:])))]
                 tau, C = rng.uniform(0.35, 0.6), k + 1
                 got = partition._swap_repair(
                     g.rows, block_sides(center, connectors, entries, tau, C))
@@ -578,8 +549,9 @@ class TestSwapRepair:
             assert moved >= 10
 
     def test_repaired_level_passes_the_block_checks(self, monkeypatch):
-        # G(48, 0.75) groups at tau = 7/16: the first final-level draw misses
-        # tau*C in every seed and swap repair makes it pass
+        # G(48, 0.75) groups at tau = 7/16: the first group draw misses
+        # tau*C in every seed and the group repair makes it pass; each
+        # returned block passes the recounted block events
         real = partition._swap_repair
         changed = []
 
@@ -595,15 +567,16 @@ class TestSwapRepair:
             changed.clear()
             bp = block_partition(g, range(48), 0, [1, 2, 3, 4], alpha=alpha,
                                  delta=alpha - 0.4375, seed=seed)
-            assert bp.attempts == 2 and any(changed)
-            assert reference_block_violation(
-                g, 0, bp.connectors, final_entries(bp), 0.4375, 12) is None
+            assert bp.attempts == 1 and any(changed)
+            for entry in enumerate(bp.blocks):
+                assert reference_block_violation(
+                    g, 0, bp.connectors, [entry], 0.4375, 12) is None
             assert ore_bound_holds(g, bp)
             assert block_postconditions_hold(g, range(48), bp, alpha, alpha - 0.4375, 12)
 
     def test_passing_draw_is_untouched(self, monkeypatch):
-        # only a sibling pair that misses is repaired, and a seed whose draws
-        # all pass gives the blocks the draws alone give
+        # only a draw that misses is repaired, and a seed whose draws all
+        # pass gives the blocks the draws alone give
         real = partition._swap_repair
         calls = []
 
@@ -634,10 +607,11 @@ class TestSwapRepair:
                 assert bp == drawn
         assert 0 < untouched < 6
 
-    @pytest.mark.parametrize("p, seed", [(0.75, 0), (0.75, 3), (0.7, 0)])
+    @pytest.mark.parametrize("p, seed", [(0.75, 0), (0.75, 3), (0.7, 0), (0.65, 0)])
     def test_repair_derives_no_seed(self, monkeypatch, p, seed):
-        # one 0x0B seed per counted draw, repaired or not; (0.7, 0) exhausts
-        # the final level with a repair on every draw
+        # one 0x0B seed per counted draw, repaired or not; (0.7, 0) is
+        # accepted at its second draw, and (0.65, 0) exhausts the budget,
+        # repairs included
         real_seed, real_repair = partition.spawn_seed, partition._swap_repair
         tags, repairs = [], []
 
@@ -657,6 +631,6 @@ class TestSwapRepair:
             draws = block_partition(g, range(48), 0, [1, 2, 3, 4], alpha=alpha,
                                     delta=alpha - 0.4375, seed=seed).attempts
         except PartitionError as err:
-            assert err.level == 2
+            assert err.level == 1
             draws = err.attempts
         assert repairs and tags == [0x0B] * draws
