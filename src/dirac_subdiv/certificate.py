@@ -83,8 +83,12 @@ def certificate_from_json(text: str) -> SubdivisionCertificate:
     if type(doc.get("version")) is not int or doc["version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported certificate version {doc.get('version')}")
     try:
-        pattern = Graph(_typed(doc["pattern_vertex_count"], int),
-                        [_ints(e) for e in _typed(doc["pattern_edges"], list)])
+        edges = [_ints(e) for e in _typed(doc["pattern_edges"], list)]
+        pattern = Graph(_typed(doc["pattern_vertex_count"], int), edges)
+        if pattern.edge_count < len(edges):  # Graph collapses a repeated pair
+            last = {frozenset(e): k for k, e in enumerate(edges)}
+            pair = next(e for k, e in enumerate(edges) if last[frozenset(e)] != k)
+            raise ValueError(f"certificate lists the pattern edge {pair} twice")
         edge_paths = {}
         for entry in _typed(doc["edge_paths"], list):
             i, j = _ints(entry["edge"])

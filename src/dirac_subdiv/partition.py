@@ -267,79 +267,59 @@ def _block_demands(i: int, size: int, center: int, connector: int,
             *(("block-ore-degree", i, W, extra, ore) for W in (None, (center, connector)))]
 
 
-def _slices(weights) -> list[int]:
-    """Bit slices of a vertex -> weight map: slice i holds the vertices of weight > i."""
-    out = [0] * max(weights.values(), default=0)
-    for v, w in weights.items():
-        for i in range(w):
-            out[i] |= 1 << v
-    return out
-
-
 def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Steepest-descent swaps between two blocks of one group, given as the
     (demand rows, set) sides _worst_violation checks; no randomness.
 
-    A side X's shortfall is what its demand rows miss, in whole degrees: a
-    row asking need neighbours in X + extra bounds v's count into X below by
+    A row asking need neighbours in X + extra bounds v's count into X below by
     ceil(need) - |N(v) & extra|. A row with W None binds every vertex of the
     pair, since any may move into X; one with a W binds the vertices in it,
-    which stay put. Each step makes the swap of a in the first set with b
-    in the second that most reduces the total shortfall, the lowest (a, b)
-    on a tie; a or b must be short or a non-neighbour of a short vertex of
-    its side. The pass stops at zero shortfall, when no swap reduces it, or
+    which stay put. A vertex meets all its rows on a side exactly when it
+    meets the largest of these bounds, so it keeps only that one, and a
+    side's shortfall is the sum of max(0, bound - count) over the vertices
+    it binds. Each step makes the swap of a in the first set with b in the
+    second that most reduces the total shortfall, the lowest (a, b) on a
+    tie; a or b must be short or a non-neighbour of a short vertex of its
+    side. The pass stops at zero shortfall, when no swap reduces it, or
     after |A|+|B| swaps.
 
-    A count k is short by the sum of max(0, b-k) over its bounds b. A swap
-    moves every other count by at most one, changing that by #(b >= k) on a
-    fall and -#(b > k) on a rise. As bit slices, these weights split a
-    swap's change into a term of a, a term of b, and minus the bounds met
-    exactly over their common neighbours: one AND and popcount per slice.
+    A swap moves every other count by at most one: a fall costs one on a
+    vertex at or below its bound, a rise saves one below it. So a swap's
+    change is a term of a, a term of b, and minus the vertices exactly at
+    their bound among the common neighbours: one AND and popcount per mask.
     """
     pool = sides[0][1] + sides[1][1]
-    bounds = ({}, {})  # per side: vertex -> the bounds its count into the side must meet
-    for (demands, _), t in zip(sides, bounds):
+    bound = ({}, {})  # per side: vertex -> the largest count into the side its rows ask
+    for (demands, _), t in zip(sides, bound):
         for *_, W, extra, need in demands:
             k = math.ceil(need)
             for v in W or pool:
-                t.setdefault(v, []).append(k - (rows[v] & extra).bit_count())
-    fixed = [t.keys() - set(pool) for t in bounds]  # the W vertices each side binds
-    tracked = bounds[0].keys() | bounds[1].keys()
+                b = k - (rows[v] & extra).bit_count()
+                if v not in t or b > t[v]:
+                    t[v] = b
+    fixed = [t.keys() - set(pool) for t in bound]  # the W vertices each side binds
+    tracked = bound[0].keys() | bound[1].keys()
     members = [sorted(sides[0][1]), sorted(sides[1][1])]
     counts = [{v: (rows[v] & m).bit_count() for v in tracked}
               for m in (mask_of(members[0]), mask_of(members[1]))]
 
-    def short(s, v, k):
-        gap = 0
-        for b in bounds[s][v]:
-            gap += b - k if b > k else 0
-        return gap
-
     for _ in range(len(pool)):
-        # per side, the fall and rise weights (the bounds a count meets, and
-        # those it misses) and the swap-out candidates; exact hits, both sides
-        fw, rw, hits, movable, total = ({}, {}), ({}, {}), {}, [0, 0], 0
+        # per side, the vertices below their bound (rise), those at it
+        # (exact) and the swap-out candidates
+        rise, exact, movable, total = [0, 0], [0, 0], [0, 0], 0
         for s in (0, 1):
             m = mask_of(members[s])
             for v in (*members[s], *fixed[s]):
-                k = counts[s][v]
-                f = r = 0
-                for b in bounds[s][v]:
-                    if b >= k:
-                        f += 1
-                        if b > k:
-                            r += 1
-                            total += b - k
-                if f:
-                    fw[s][v] = f
-                if r:
-                    rw[s][v] = r
+                gap = bound[s][v] - counts[s][v]
+                if gap > 0:
+                    total += gap
+                    rise[s] |= 1 << v
                     movable[s] |= m & ~rows[v]
-                if f > r:
-                    hits[v] = hits.get(v, 0) + f - r
+                elif gap == 0:
+                    exact[s] |= 1 << v
         if total == 0:
             break
-        fall, rise, exact = [*map(_slices, fw)], [*map(_slices, rw)], _slices(hits)
+        fall = [rise[0] | exact[0], rise[1] | exact[1]]
         out = [[v for v in members[s] if movable[s] >> v & 1] for s in (0, 1)]
         # own[s][v][j]: the change of a swap that moves v off side s, less
         # the common-neighbour term; j = 1 when v and its partner are
@@ -348,14 +328,11 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for s in (0, 1):
             o = 1 - s
             for v in members[s] if out[o] else out[s]:
-                r, k = rows[v], counts[o][v]
-                base = -short(s, v, counts[s][v])
-                for sl in fall[s]:
-                    base += (r & sl).bit_count()
-                for sl in rise[o]:
-                    base -= (r & sl).bit_count()
-                own[s][v] = (base + short(o, v, k),
-                             base + short(o, v, k - 1) + rw[s].get(v, 0))
+                r, gap = rows[v], bound[o][v] - counts[o][v]  # on the side v joins
+                base = ((r & fall[s]).bit_count() - (r & rise[o]).bit_count()
+                        - max(0, bound[s][v] - counts[s][v]))
+                own[s][v] = (base + max(0, gap),
+                             base + max(0, gap + 1) + (rise[s] >> v & 1))
         # a candidate a pairs with every b, any other a with candidate b only
         every = [(b, rows[b], own[1][b]) for b in members[1] if b in own[1]]
         some = [(b, rows[b], own[1][b]) for b in out[1]]
@@ -364,9 +341,9 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
             ra, ta = rows[a], own[0].get(a)
             for b, rb, tb in every if movable[0] >> a & 1 else some:
                 ab = ra >> b & 1
-                common, delta = ra & rb, ta[ab] + tb[ab]
-                for sl in exact:
-                    delta -= (common & sl).bit_count()
+                common = ra & rb
+                delta = (ta[ab] + tb[ab] - (common & exact[0]).bit_count()
+                         - (common & exact[1]).bit_count())
                 if delta < best:
                     best, best_pair = delta, (a, b)
         if best_pair is None:

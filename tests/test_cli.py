@@ -65,6 +65,15 @@ class TestGen:
     def test_missing_params_usage_error(self):
         assert main(["gen", "--kind", "dirac", "--n", "4"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "complete"], "gen --kind complete requires --n"),
+        (["--kind", "two-clique"], "gen --kind two-clique requires --n"),
+        (["--kind", "regular", "--n", "8"], "gen --kind regular requires --n and --d"),
+    ], ids=["complete", "two-clique", "regular"])
+    def test_missing_params_per_kind_usage_error(self, capsys, argv, message):
+        assert main(["gen", *argv]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_small_d_warning(self, tmp_path, capsys):
         assert main(["gen", "--kind", "regular", "--n", "30", "--d", "1",
                      "--out", str(tmp_path / "m.txt")]) == 0
@@ -110,6 +119,24 @@ class TestEmbedVerify:
         loaded = read_certificate(cert)
         assert verify_certificate(read_edge_list(host), complete_graph(3),
                                   loaded).ok
+
+    def test_embed_to_stdout(self, tmp_path, capsys):
+        host = write_instance(tmp_path, "host.txt", complete_graph(36))
+        rc = main(["embed", "--host", host,
+                   "--pattern", write_instance(tmp_path, "patt.txt", complete_graph(3)),
+                   "--epsilon", "0.3", "--C", "6", "--seed", "2"])
+        assert rc == 0
+        cert = certificate_from_json(capsys.readouterr().out)
+        assert verify_certificate(complete_graph(36), complete_graph(3), cert,
+                                  require_spanning=True).ok
+
+    def test_non_regular_pattern_usage_error(self, tmp_path, capsys):
+        host = write_instance(tmp_path, "host.txt", complete_graph(36))
+        patt = write_instance(tmp_path, "patt.txt", Graph(3, [(0, 1), (1, 2)]))
+        rc = main(["embed", "--host", host, "--pattern", patt,
+                   "--epsilon", "0.3", "--C", "6"])
+        assert rc == 2
+        assert "error: graph is not regular" in capsys.readouterr().err
 
     def test_embed_failure_exits_one(self, tmp_path, capsys):
         from dirac_subdiv import gen_two_clique_extremal
@@ -161,7 +188,9 @@ class TestEmbedVerify:
         lambda doc: {**doc, "branch_map": [None, *doc["branch_map"][1:]]},
         lambda doc: {**doc, "edge_paths": [{"edge": p["edge"]}
                                            for p in doc["edge_paths"]]},
-    ], ids=["no-edge-paths", "top-level-list", "null-branch", "no-vertices"])
+        lambda doc: {**doc, "edge_paths": [[0, 1]]},
+    ], ids=["no-edge-paths", "top-level-list", "null-branch", "no-vertices",
+            "entry-not-object"])
     def test_malformed_certificate_usage_error(self, tmp_path, capsys, mangle):
         pattern = complete_graph(2)
         host = write_instance(tmp_path, "host.txt", complete_graph(4))
@@ -215,14 +244,17 @@ class TestEmbedVerify:
         assert "error: " in capsys.readouterr().err
 
     # each of these verified before: the parser kept the last of two entries,
-    # so the bogus first one was never checked
+    # so the bogus first one was never checked, or collapsed a repeated
+    # pattern edge
     @pytest.mark.parametrize("repeat, message", [
         (lambda doc: json.dumps({**doc, "edge_paths": [
             {"edge": [0, 1], "vertices": [0, 1]}, *doc["edge_paths"]]}),
          "lists the edge [0, 1] twice"),
         (lambda doc: '{"branch_map": [5, 5, 5], ' + json.dumps(doc)[1:],
          "repeats the key 'branch_map'"),
-    ], ids=["edge-twice", "key-twice"])
+        (lambda doc: json.dumps({**doc, "pattern_edges": [*doc["pattern_edges"], [1, 0]]}),
+         "lists the pattern edge [0, 1] twice"),
+    ], ids=["edge-twice", "key-twice", "pattern-edge-twice"])
     def test_repeated_entry_usage_error(self, tmp_path, capsys, repeat, message):
         pattern = complete_graph(3)
         host = write_instance(tmp_path, "host.txt", complete_graph(6))
@@ -407,6 +439,15 @@ class TestSweep:
         assert len(lines) == 2
         err = capsys.readouterr().err
         assert "success_rate" in err  # aligned table on stderr
+
+    def test_cli_sweep_to_stdout(self, capsys):
+        argv = ["sweep", "--host-kind", "complete", "--n", "3", "--d", "2",
+                "--C", "6", "--epsilon", "0.3", "--trials", "2", "--seed", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        spec = SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(6,),
+                         epsilons=(0.3,), trials=2, seed_base=1)
+        assert out == run_sweep(spec).csv_text
 
     def test_epsilon_descending_rates_recorded_not_asserted(self):
         spec = SweepSpec(kinds=("dirac",), ns=(4,), ds=(3,), Cs=(12,),

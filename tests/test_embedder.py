@@ -199,6 +199,17 @@ class TestCheckTemplate:
             t, branch=(t.branch[0], t.branch[0], t.branch[2])))
         assert not chk.ok and chk.label == "structure"
 
+    @pytest.mark.parametrize("role", ["branch", "connector"])
+    def test_block_missing_its_special_vertex_fails_structure(self, role):
+        g, h, t = self.base()
+        key = (0, 1)
+        gone = t.branch[0] if role == "branch" else t.connectors[key]
+        blocks = dict(t.blocks)
+        blocks[key] = tuple(v for v in blocks[key] if v != gone)
+        chk = check_template(g, h, template_copy(t, blocks=blocks))
+        assert not chk.ok and chk.label == "structure"
+        assert chk.witness == "block (0,1) missing its branch or connector vertex"
+
     @pytest.mark.parametrize("bad", [-1, 36])
     def test_out_of_range_block_vertex_fails_cover(self, bad):
         # the block-degree check indexes host rows by id; an id past either

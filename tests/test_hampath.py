@@ -71,6 +71,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             brute_force_hamilton_path(g, 0, 1)
 
+    @pytest.mark.parametrize("seq", [[0, 1, 0], [0, 1, 4], [-1, 0]],
+                             ids=["repeated", "past-the-end", "negative"])
+    def test_is_simple_path_rejects(self, seq):
+        assert is_simple_path(complete_graph(4), [0, 1, 2])
+        assert not is_simple_path(complete_graph(4), seq)
+
     def test_two_vertices(self):
         g = Graph(2, [(0, 1)])
         assert hamilton_path_between(g, 0, 1, seed=0) == [0, 1]

@@ -478,10 +478,15 @@ def side_rules(center, connector, side, tau, C):
 
 
 def pair_shortfall(g, center, connectors, entries, tau, C):
-    """Total shortfall of two blocks, recounted from scratch."""
-    return sum(max(0, need - degree_into(g, v, members))
-               for i, side in entries
-               for v, members, need in side_rules(center, connectors[i], side, tau, C))
+    """Total shortfall of two blocks, recounted from scratch: per block,
+    each vertex is short by its largest miss over the rules that bind it."""
+    total = 0
+    for i, side in entries:
+        gap = {}
+        for v, members, need in side_rules(center, connectors[i], side, tau, C):
+            gap[v] = max(gap.get(v, 0), need - degree_into(g, v, members))
+        total += sum(gap.values())
+    return total
 
 
 def exhaustive_repair(g, center, connectors, entries, tau, C):

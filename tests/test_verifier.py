@@ -33,6 +33,15 @@ class TestMutations:
         assert name in failed
         assert failed <= {name} | entailed, rep.summary()
 
+    def test_interior_through_a_branch_vertex(self):
+        # K3 into K3 with the path of (0,1) routed through branch vertex 2
+        k3 = complete_graph(3)
+        cert = SubdivisionCertificate(
+            3, k3, (0, 1, 2), {(0, 1): (0, 2, 1), (0, 2): (0, 2), (1, 2): (1, 2)})
+        rep = verify_certificate(k3, k3, cert, require_spanning=True)
+        assert rep.failed() == ["interiors-disjoint"]
+        assert "contains branch vertex 2" in rep.summary()
+
     def test_spanning_only_when_required(self):
         host, pattern, _ = valid_base_certificate()
         name, cert, _ = certificate_mutations()[-1]
