@@ -91,7 +91,10 @@ def certificate_from_json(text: str) -> SubdivisionCertificate:
             raise ValueError(f"certificate lists the pattern edge {pair} twice")
         edge_paths = {}
         for entry in _typed(doc["edge_paths"], list):
-            i, j = _ints(entry["edge"])
+            edge = _ints(entry["edge"])
+            if len(edge) != 2:
+                raise ValueError(f"certificate edge entry {edge} is not a pair")
+            i, j = edge
             if (i, j) in edge_paths:
                 raise ValueError(f"certificate lists the edge {[i, j]} twice")
             edge_paths[(i, j)] = tuple(_ints(entry["vertices"]))

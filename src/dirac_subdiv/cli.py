@@ -214,7 +214,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for row in rows:
         by_group.setdefault((row["kind"], row["n"], row["d"], row["C"]), []).append(row)
     for key, group in by_group.items():
-        ordered = sorted(group, key=lambda r: -r["epsilon"])
+        # an errored trial never ran the embedder, so its cell's rate is no evidence
+        ordered = sorted((r for r in group if not r["errors"]), key=lambda r: -r["epsilon"])
         rates = [r["success_rate"] for r in ordered]
         if any(b > a + 1e-12 for a, b in zip(rates, rates[1:])):
             notes.append(

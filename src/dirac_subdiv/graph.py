@@ -207,13 +207,9 @@ def regular_degree(g: Graph) -> int:
 # --- edge-list text format ---------------------------------------------------
 # "N M", then M lines "u v" with 0 <= u < v < N and no pair twice; the line
 # reader states the whole grammar, and the array pass hands it every document
-# it does not accept. The writer's spelling, "N M\n" then "u v\n" per edge, is
-# checked by its separators alone, and any other by a per-byte class pass.
+# it does not accept. The array pass reads only the writer's spelling, "N M\n"
+# then "u v\n" per edge, which its separators alone prove.
 
-_CLASS = np.full(256, 3, np.uint8)  # 0 separator, 1 line end, 2 digit, 3 other
-_CLASS[[ord(" "), ord("\t")]] = 0
-_CLASS[[ord("\n"), ord("\r")]] = 1
-_CLASS[ord("0"):ord("9") + 1] = 2
 _EDGE_LINE = re.compile(r"[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*")
 
 
@@ -236,17 +232,14 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _array_pass(text: str) -> Graph | None:
-    """Graph of a faultless document of digits, spaces, tabs and line ends, else None."""
+    """Graph of a faultless document in the writer's spelling, else None."""
     enc = text.encode("ascii", "replace")  # "?" stands in for each non-ASCII character
     seps = enc.translate(None, b"0123456789")
-    own = seps == b" \n" * (len(seps) // 2)  # the writer's spelling
-    if not (own or _two_tokens_per_line(enc)):
+    if seps != b" \n" * (len(seps) // 2) or not enc.endswith(b"\n"):
         return None
-    values = np.fromstring(enc, np.int64, sep=" ")  # [0] for blank text
-    # one value per separator, and none after the last: no token is empty
-    if own and (len(values) != len(seps) or not enc.endswith(b"\n")):
-        return None
-    if len(values) < 2 or values.max() == np.iinfo(np.int64).max:  # the overflow value
+    values = np.fromstring(enc, np.int64, sep=" ")
+    # one value per separator: no token is empty
+    if len(values) != len(seps) or values.max() == np.iinfo(np.int64).max:  # the overflow value
         return None
     n, m = values[:2].tolist()
     uv = values[2:].reshape(-1, 2)
@@ -257,18 +250,6 @@ def _array_pass(text: str) -> Graph | None:
     except ValueError:  # an id out of range, or a vertex count too large to hold
         return None
     return g if g.edge_count == m else None
-
-
-def _two_tokens_per_line(enc: bytes) -> bool:
-    """Whether every byte is a digit, space, tab or line end and each line holds 0 or 2 tokens."""
-    cls = _CLASS[np.frombuffer(enc, np.uint8)]
-    if (cls == 3).any():
-        return False
-    digit = cls == 2
-    # a 1 per line end and a 2 per token start, in document order
-    marks = cls[(cls == 1) | (digit & np.diff(digit, prepend=False))]
-    per_line = np.diff(np.flatnonzero(marks == 1), prepend=-1, append=len(marks)) - 1
-    return bool(((per_line == 0) | (per_line == 2)).all())
 
 
 def _read_lines(text: str) -> Graph:

@@ -12,6 +12,7 @@ from dirac_subdiv import (Graph, SubdivisionCertificate, certificate_from_json,
                           certificate_to_json, complete_graph, format_edge_list,
                           min_degree, parse_edge_list, read_certificate,
                           read_edge_list, verify_certificate, write_edge_list)
+from dirac_subdiv import cli
 from dirac_subdiv.cli import SweepSpec, main, run_sweep
 
 
@@ -182,16 +183,20 @@ class TestEmbedVerify:
         assert rc == 2
         assert "error: host order 42" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mangle", [
-        lambda doc: {k: v for k, v in doc.items() if k != "edge_paths"},
-        lambda doc: [doc],
-        lambda doc: {**doc, "branch_map": [None, *doc["branch_map"][1:]]},
-        lambda doc: {**doc, "edge_paths": [{"edge": p["edge"]}
-                                           for p in doc["edge_paths"]]},
-        lambda doc: {**doc, "edge_paths": [[0, 1]]},
+    @pytest.mark.parametrize("mangle, named", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "edge_paths"}, ""),
+        (lambda doc: [doc], ""),
+        (lambda doc: {**doc, "branch_map": [None, *doc["branch_map"][1:]]}, ""),
+        (lambda doc: {**doc, "edge_paths": [{"edge": p["edge"]}
+                                            for p in doc["edge_paths"]]}, ""),
+        (lambda doc: {**doc, "edge_paths": [[0, 1]]}, ""),
+        (lambda doc: {**doc, "edge_paths": [{"edge": [0, 1, 2], "vertices": [0, 3, 1]}]},
+         "certificate edge entry [0, 1, 2] is not a pair"),
+        (lambda doc: {**doc, "edge_paths": [{"edge": [0], "vertices": [0, 3, 1]}]},
+         "certificate edge entry [0] is not a pair"),
     ], ids=["no-edge-paths", "top-level-list", "null-branch", "no-vertices",
-            "entry-not-object"])
-    def test_malformed_certificate_usage_error(self, tmp_path, capsys, mangle):
+            "entry-not-object", "edge-triple", "edge-single"])
+    def test_malformed_certificate_usage_error(self, tmp_path, capsys, mangle, named):
         pattern = complete_graph(2)
         host = write_instance(tmp_path, "host.txt", complete_graph(4))
         patt = write_instance(tmp_path, "patt.txt", pattern)
@@ -201,7 +206,7 @@ class TestEmbedVerify:
         rc = main(["verify", "--host", host, "--pattern", patt,
                    "--cert", str(cert)])
         assert rc == 2
-        assert "error: " in capsys.readouterr().err
+        assert "error: " + named in capsys.readouterr().err
 
     # each of these verified (or failed verification) before: the parser
     # coerced the value instead of rejecting it
@@ -418,6 +423,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="empty sweep grid axis kinds"):
             SweepSpec(kinds=(), ns=(3,), ds=(2,), Cs=(6,),
                       epsilons=(0.3,), trials=1)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(6,),
+                      epsilons=(0.3,), trials=0)
+        with pytest.raises(ValueError, match=r"cell epsilon=1.0: need 0 < epsilon < 1"):
+            SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(6,),
+                      epsilons=(0.3, 1.0), trials=1)
         # a grid with an empty axis has no cells: a usage error, not an empty CSV
         assert main(["sweep", "--host-kind", "complete", "--n", "", "--d", "2",
                      "--C", "6", "--epsilon", "0.3"]) == 2
@@ -458,6 +469,26 @@ class TestSweep:
         assert all(0.0 <= r <= 1.0 for r in rates)
         # monotonicity in epsilon is only flagged, never a failure
         assert all(n.startswith("note:") for n in result.notes)
+
+    def test_errored_cells_give_no_note(self, capsys):
+        # no host meets the degree bound at epsilon=0.99: that cell has
+        # errors, not a success rate to compare
+        assert main(["sweep", "--n", "3", "--d", "2", "--C", "6", "--epsilon",
+                     "0.99,0.5", "--trials", "2", "--seed", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1].split(",")[8] == "2"  # the errors column
+        assert "note:" not in err
+
+    def test_non_monotone_rates_give_a_note(self, monkeypatch):
+        def trial(kind, n, d, C, eps, seed):
+            return {"ok": eps < 0.4, "master": 1, "good_partition": 1,
+                    "block_levels": 1, "wall_s": 0.0, "error": None}
+        monkeypatch.setattr(cli, "_sweep_trial", trial)
+        spec = SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(6,),
+                         epsilons=(0.5, 0.3), trials=2)
+        assert run_sweep(spec).notes == [
+            "note: success rate not monotone in epsilon for kind=complete n=3 "
+            "d=2 C=6 (statistical fluctuation is expected at small trial counts)"]
 
 
 def test_python_m_entry_point():

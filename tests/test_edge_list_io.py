@@ -159,45 +159,39 @@ class TestFormat:
         assert parse_edge_list(text) == g
 
 
+@pytest.fixture
+def no_line_reader(monkeypatch):
+    def refuse(text):
+        raise AssertionError("document left the array pass")
+    monkeypatch.setattr(graph, "_read_lines", refuse)
+
+
 class TestArrayPass:
-    """Ordinary documents never reach the line reader, which is only the
-    slow path for faults and rare forms such as a "-0" id."""
+    """Documents in the writer's spelling ("N M\\n", then "u v\\n" per edge)
+    never reach the line reader; every other spelling is the line reader's."""
 
-    @pytest.fixture(autouse=True)
-    def no_line_reader(self, monkeypatch):
-        def refuse(text):
-            raise AssertionError("document left the array pass")
-        monkeypatch.setattr(graph, "_read_lines", refuse)
-
+    @pytest.mark.usefixtures("no_line_reader")
     @pytest.mark.parametrize("n, d", [(4, 3), (8, 3), (10, 4)])
     def test_cli_pipeline_hosts(self, n, d):
         g = gen_dirac_host(HostSpec(n, d, 12, 0.25, seed=5))
         assert parse_edge_list(format_edge_list(g)) == g
 
-    def test_line_ends_tabs_blanks_and_padding(self):
+    def test_line_ends_tabs_blanks_and_padding(self, monkeypatch):
         g = gen_dirac_host(HostSpec(4, 3, 12, 0.25, seed=5))
         lines = ["\t".join(t.zfill(25) for t in ln.split())
                  for ln in format_edge_list(g).splitlines()]
         text = "\r\n\r\n".join(lines[:3]) + " \t\n\r" + "\r\n".join(lines[3:])
+        read, read_lines = [], graph._read_lines
+        monkeypatch.setattr(graph, "_read_lines", lambda t: read.append(t) or read_lines(t))
         assert parse_edge_list(text) == g
+        assert read == [text]
 
 
 class TestWriterSpelling:
-    """Documents in the writer's own spelling ("N M\\n", then "u v\\n" per
-    line) are read by a separator check, never by the byte-class pass."""
+    """Formatted graphs of every size stay on the array pass, and documents
+    one separator away from the writer's spelling parse as the reference does."""
 
-    @pytest.fixture(autouse=True)
-    def no_class_pass(self, monkeypatch):
-        class Refuse:
-            def __getitem__(self, index):
-                raise AssertionError("document ran the class pass")
-        monkeypatch.setattr(graph, "_CLASS", Refuse())
-
-    @pytest.mark.parametrize("n, d", [(4, 3), (8, 3), (10, 4)])
-    def test_cli_pipeline_hosts(self, n, d):
-        g = gen_dirac_host(HostSpec(n, d, 12, 0.25, seed=5))
-        assert parse_edge_list(format_edge_list(g)) == g
-
+    @pytest.mark.usefixtures("no_line_reader")
     @pytest.mark.parametrize("n", [0, 1, 9, 10, 65, 100, 1000])
     def test_format_sizes(self, n):
         g = sampled_graph(n)

@@ -95,6 +95,18 @@ class TestBuildTemplate:
         with pytest.raises(ValueError):
             build_template(g, path_graph(3), EmbedConfig(epsilon=0.3, seed=0))
 
+    def test_edgeless_pattern_rejected(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            build_template(complete_graph(24), Graph(4), EmbedConfig(epsilon=0.3, seed=0))
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"epsilon": 0}, "epsilon must lie in"),
+        ({"epsilon": 0.3, "master_attempts": 0}, "master_attempts must be >= 1"),
+    ])
+    def test_config_validation(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            EmbedConfig(**knobs)
+
     def test_size_mismatch_rejected(self):
         g = complete_graph(30)
         h = complete_graph(2)

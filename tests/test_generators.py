@@ -37,6 +37,10 @@ class TestTwoCliqueExtremal:
         g = gen_two_clique_extremal(1)
         assert g.n == 2 and g.edge_count == 0
 
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="clique size must be >= 1"):
+            gen_two_clique_extremal(0)
+
     def test_two_triangles(self):
         g = gen_two_clique_extremal(3)
         assert g.n == 6
@@ -179,6 +183,8 @@ class TestDiracHost:
             HostSpec(n=1, d=1, C=4, epsilon=0.5)
         with pytest.raises(ValueError):
             HostSpec(n=4, d=4, C=4, epsilon=0.5)
+        with pytest.raises(ValueError, match="C must be >= 1"):
+            HostSpec(n=4, d=3, C=0, epsilon=0.5)
 
     def test_deterministic_bytes(self):
         spec = HostSpec(n=4, d=3, C=10, epsilon=0.2, seed=42)

@@ -50,6 +50,10 @@ class TestGraphBasics:
     def test_equality(self):
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
+        assert (Graph(2) == 2) is False
+
+    def test_repr(self):
+        assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, m=1)"
 
     def test_rows_are_the_neighbor_masks(self):
         g = cycle_graph(70)

@@ -53,6 +53,10 @@ def reference_interval_sizes(d):
 
 
 class TestIntervalTree:
+    def test_d0_rejected(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            interval_tree(0)
+
     def test_d1(self):
         t = interval_tree(1)
         assert t.s == 0
@@ -215,6 +219,10 @@ class TestGoodPartition:
         h = complete_graph(2)
         with pytest.raises(ValueError):
             good_partition(g, h, alpha=0.6, delta=0.1, budget=5, seed=0)
+        with pytest.raises(ValueError, match="need 0 < delta < alpha"):
+            good_partition(complete_graph(24), h, alpha=0.6, delta=0.6)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            good_partition(complete_graph(24), h, alpha=0.6, delta=0.1, budget=0)
 
     def test_budget_exhaustion_reports_worst(self):
         # two cliques again, but alpha set exactly at the actual min degree
@@ -338,6 +346,12 @@ class TestBlockPartition:
             block_partition(g, range(16), 0, [1, 1], alpha=0.7, delta=0.2)
         with pytest.raises(ValueError):  # center outside group
             block_partition(g, range(8), 9, [1], alpha=0.7, delta=0.2)
+        with pytest.raises(ValueError, match="need 0 < delta < alpha"):
+            block_partition(g, range(16), 0, [1, 2], alpha=0.7, delta=0.7)
+        with pytest.raises(ValueError, match="level_budget must be >= 1"):
+            block_partition(g, range(16), 0, [1, 2], alpha=0.7, delta=0.2, level_budget=0)
+        with pytest.raises(ValueError, match="need at least one connector"):
+            block_partition(g, range(16), 0, [], alpha=0.7, delta=0.2)
         low = gen_two_clique_extremal(8)
         with pytest.raises(ValueError):  # group min degree below alpha
             block_partition(low, range(16), 0, [1, 8], alpha=0.6, delta=0.1)
