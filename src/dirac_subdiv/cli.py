@@ -28,7 +28,7 @@ HOST_KINDS = ("dirac", "complete", "two-clique")
 
 
 def _warn_small_d(n: int, d: int) -> None:
-    if n >= 2 and d < math.log(n):
+    if n >= 2 and 1 <= d < math.log(n):
         print(f"warning: d={d} is below ln(n)={math.log(n):.2f}; the dense-host "
               "guarantee is only established for d >= ln n", file=sys.stderr)
 

@@ -26,16 +26,27 @@ class Graph:
     def __init__(self, vertex_count: int,
                  edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         """Edges are pairs or an (m, 2) integer array; repeats collapse. An id
-        out of range, and after that a loop, names the first such edge."""
+        that is not an integer, then an id out of range, and after that a
+        loop, names the first such edge."""
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         n = int(vertex_count)
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
-        try:
-            uv = np.asarray(edges, np.int64)
-        except OverflowError:  # an id past int64
-            raise _out_of_range(*next((u, v) for u, v in edges
-                                      if not (0 <= u < n and 0 <= v < n)), n) from None
+        uv = np.asarray(edges)
+        # numpy infers no integer type from a float or string id, an id past
+        # int64 or an empty list; only such input has its ids type-checked
+        if uv.dtype.kind != "i":
+            if uv.ndim == 2 and uv.shape[1] == 2:
+                ints = (int, np.integer)
+                for u, v in edges.tolist() if isinstance(edges, np.ndarray) else edges:
+                    if not (isinstance(u, ints) and isinstance(v, ints)):
+                        raise ValueError(f"edge ({u!r},{v!r}) has an id that is not an integer")
+            try:
+                uv = np.asarray(edges, np.int64)
+            except OverflowError:  # an id past int64
+                raise _out_of_range(*next((u, v) for u, v in edges
+                                          if not (0 <= u < n and 0 <= v < n)), n) from None
+        uv = uv.astype(np.int64, copy=False)
         if uv.size and (uv.ndim != 2 or uv.shape[1] != 2):
             raise ValueError("edges must be (u, v) pairs")
         u, v = uv.reshape(-1, 2).T

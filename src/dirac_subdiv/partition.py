@@ -16,15 +16,17 @@ that misses is first repaired by deterministic steepest-descent vertex
 swaps between a failing block and another block of its group, in the
 manner of Kernighan and Lin; blocks of one group share only the center, so
 a swap between two of them leaves every other block's check as it was, and
-only a split the repair cannot fix costs another draw. Returned partitions
-always satisfy the advertised postconditions.
+only a split the repair cannot fix costs another draw. A group with one
+block has only one possible split, so it is drawn once. Returned
+partitions always satisfy the advertised postconditions.
 
 Every degree rule of both stages reads: vertex v needs at least k
 neighbours in a set X. Each stage states its rules once, as demand tables
 of rows (label, key, W, extra, need): each vertex of W, or of the checked
 set S when W is None, needs `need` neighbours in S plus the vertex mask
 extra; the block stage builds one table per block per call.
-_worst_violation checks (table, S) sides; _swap_repair scores swaps on them.
+_worst_violation reports the worst miss over (table, S) sides;
+_swap_repair scores swaps on them.
 """
 
 from __future__ import annotations
@@ -79,11 +81,10 @@ class GoodnessCheck:
     min_slack: float
 
 
-def _worst_violation(rows, sides, first: bool = False):
+def _worst_violation(rows, sides):
     """The worst miss (label, v, key, have, need) over sides, each a demand
     table with the set S it checks, least slack have - need and first in
-    order on a tie, or None, and the min slack over all rows; with first,
-    the first miss in order instead."""
+    order on a tie, or None, and the min slack over all rows."""
     worst, min_slack = None, math.inf
     for demands, S in sides:
         m = mask_of(S)
@@ -94,8 +95,6 @@ def _worst_violation(rows, sides, first: bool = False):
                 have = (rows[v] & X).bit_count()
                 if have < low:
                     low, low_v = have, v
-                    if first and have < need:
-                        return (label, v, key, have, need), have - need
             if low - need < min_slack:
                 min_slack = low - need
                 if low < need:
@@ -244,8 +243,7 @@ class BlockPartition:
 
     blocks[i] is the block assigned to connectors[i]; the center and the
     connectors themselves are excluded from every block. attempts counts
-    the group draws used, the accepted one included (0 for d = 1, which
-    draws nothing).
+    the group draws used, the accepted one included.
     """
 
     center: int
@@ -278,10 +276,9 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
     meets the largest of these bounds, so it keeps only that one, and a
     side's shortfall is the sum of max(0, bound - count) over the vertices
     it binds. Each step makes the swap of a in the first set with b in the
-    second that most reduces the total shortfall, the lowest (a, b) on a
-    tie; a or b must be short or a non-neighbour of a short vertex of its
-    side. The pass stops at zero shortfall, when no swap reduces it, or
-    after |A|+|B| swaps.
+    second that most reduces the total shortfall, scoring every pair, the
+    lowest (a, b) on a tie. The pass stops at zero shortfall, when no swap
+    reduces it, or after |A|+|B| swaps.
 
     A swap moves every other count by at most one: a fall costs one on a
     vertex at or below its bound, a rise saves one below it. So a swap's
@@ -304,42 +301,35 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
               for m in (mask_of(members[0]), mask_of(members[1]))]
 
     for _ in range(len(pool)):
-        # per side, the vertices below their bound (rise), those at it
-        # (exact) and the swap-out candidates
-        rise, exact, movable, total = [0, 0], [0, 0], [0, 0], 0
+        # per side, the vertices below their bound (rise) and those at it (exact)
+        rise, exact, total = [0, 0], [0, 0], 0
         for s in (0, 1):
-            m = mask_of(members[s])
             for v in (*members[s], *fixed[s]):
                 gap = bound[s][v] - counts[s][v]
                 if gap > 0:
                     total += gap
                     rise[s] |= 1 << v
-                    movable[s] |= m & ~rows[v]
                 elif gap == 0:
                     exact[s] |= 1 << v
         if total == 0:
             break
         fall = [rise[0] | exact[0], rise[1] | exact[1]]
-        out = [[v for v in members[s] if movable[s] >> v & 1] for s in (0, 1)]
-        # own[s][v][j]: the change of a swap that moves v off side s, less
-        # the common-neighbour term; j = 1 when v and its partner are
-        # adjacent, so the partner's row also counts v, whose rise is void
-        own = ({}, {})
+        # own[s]: (v, row, t) per vertex v of side s, where t[j] is the change
+        # of a swap that moves v off side s, less the common-neighbour term;
+        # j = 1 when v and its partner are adjacent, so the partner's row
+        # also counts v, whose rise is void
+        own = ([], [])
         for s in (0, 1):
             o = 1 - s
-            for v in members[s] if out[o] else out[s]:
+            for v in members[s]:
                 r, gap = rows[v], bound[o][v] - counts[o][v]  # on the side v joins
                 base = ((r & fall[s]).bit_count() - (r & rise[o]).bit_count()
                         - max(0, bound[s][v] - counts[s][v]))
-                own[s][v] = (base + max(0, gap),
-                             base + max(0, gap + 1) + (rise[s] >> v & 1))
-        # a candidate a pairs with every b, any other a with candidate b only
-        every = [(b, rows[b], own[1][b]) for b in members[1] if b in own[1]]
-        some = [(b, rows[b], own[1][b]) for b in out[1]]
+                own[s].append((v, r, (base + max(0, gap),
+                                      base + max(0, gap + 1) + (rise[s] >> v & 1))))
         best, best_pair = 0, None
-        for a in members[0]:
-            ra, ta = rows[a], own[0].get(a)
-            for b, rb, tb in every if movable[0] >> a & 1 else some:
+        for a, ra, ta in own[0]:
+            for b, rb, tb in own[1]:
                 ab = ra >> b & 1
                 common = ra & rb
                 delta = (ta[ab] + tb[ab] - (common & exact[0]).bit_count()
@@ -393,17 +383,17 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     the block-min-degree check of check_template, labelled
     "block-ore-degree" when it fails.
 
-    A draw that misses is repaired, round by round: the lowest-index
-    failing block is passed to _swap_repair with each other block in index
-    order, deterministically and without drawing a seed, and the first pair
-    after which both pass is kept. Each round passes one more block, so at
-    most d rounds run; a failing block that no partner repairs ends the
-    draw. A draw that passes is used untouched. A missed draw is replaced
-    by a fresh one, up to level_budget draws; exhaustion raises
-    PartitionError at level 1 with the last failed event, whose attempts
-    count every draw. d = 1 draws nothing: the pool is the single block,
-    checked as is, and a miss raises at level 0. Requires the induced group
-    min degree to be at least alpha*|group| and a feasible C (check_blowup).
+    Each block of a draw is checked once, in index order. A failing block
+    is passed to _swap_repair with each other block in index order,
+    deterministically and without drawing a seed, and the first pair after
+    which both pass is kept; a failing block that no partner repairs ends
+    the draw. A draw that passes is used untouched. A missed draw is
+    replaced by a fresh one, up to level_budget draws, or one draw for
+    d = 1, whose single block has only one possible draw; exhaustion raises
+    PartitionError at level 1 with the worst miss of the block that ended
+    the last draw, whose attempts count every draw. Requires the induced
+    group min degree to be at least alpha*|group| and a feasible C
+    (check_blowup).
     """
     if not (0 < delta < alpha):
         raise ValueError("need 0 < delta < alpha")
@@ -434,28 +424,23 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     threshold = alpha - delta
     demands = [_block_demands(ell, k, center, connectors[ell], threshold, C)
                for ell, k in enumerate(sizes)]
-    if d == 1:  # the pool is the single block, nothing to draw
-        viol, _ = _worst_violation(rows, [(demands[0], pool)], first=True)
-        if viol is not None:
-            raise PartitionError(f"single-block degree event failed: {viol}",
-                                 attempts=0, level=0, violation=viol)
-        return BlockPartition(center, tuple(connectors), (pool,), 0)
-
+    budget = level_budget if d > 1 else 1  # one block has only one possible draw
     ends = [sum(sizes[:ell]) for ell in range(d + 1)]
-    for attempt in range(1, level_budget + 1):
+    for attempt in range(1, budget + 1):
         # a group draw is level 1, in its seed path as in PartitionError
         perm = make_rng(spawn_seed(seed, 0x0B, 1, attempt)).permutation(len(pool)).tolist()
         blocks = [tuple(sorted(pool[i] for i in perm[a:b])) for a, b in zip(ends, ends[1:])]
-        # each round repairs the lowest failing block i with the first
-        # partner j after which both pass; a swap moves no other block, so
-        # every round passes one more block, or the draw fails
-        while (viol := _worst_violation(rows, [*zip(demands, blocks)], first=True)[0]):
-            i = viol[2]  # a block row's key is the block's index
+        # a failing block i is repaired with the first partner j after which
+        # both pass; a swap moves no other block, so blocks before i still pass
+        for i in range(d):
+            viol = _worst_violation(rows, [(demands[i], blocks[i])])[0]
+            if viol is None:
+                continue
             for j in range(d):
                 if j != i:
                     pair = _swap_repair(rows, [(demands[i], blocks[i]), (demands[j], blocks[j])])
-                    if _worst_violation(rows, [(demands[i], pair[0]), (demands[j], pair[1])],
-                                        first=True)[0] is None:
+                    if _worst_violation(rows, [(demands[i], pair[0]),
+                                               (demands[j], pair[1])])[0] is None:
                         blocks[i], blocks[j] = pair
                         break
             else:
@@ -463,5 +448,5 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
         else:
             return BlockPartition(center, tuple(connectors), tuple(blocks), attempt)
     raise PartitionError(
-        f"group draw failed {level_budget} times; last violation: {viol}",
-        attempts=level_budget, level=1, violation=viol)
+        f"group draw failed {budget} times; last violation: {viol}",
+        attempts=budget, level=1, violation=viol)

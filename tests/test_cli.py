@@ -139,6 +139,17 @@ class TestEmbedVerify:
         assert rc == 2
         assert "error: graph is not regular" in capsys.readouterr().err
 
+    def test_edgeless_pattern_usage_error_without_warning(self, tmp_path, capsys):
+        # a 0-regular pattern is rejected, so no small-d warning precedes it
+        host = write_instance(tmp_path, "host.txt", complete_graph(36))
+        patt = write_instance(tmp_path, "patt.txt", Graph(4))
+        rc = main(["embed", "--host", host, "--pattern", patt,
+                   "--epsilon", "0.3", "--C", "6"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: pattern must be d-regular with d >= 1" in err
+        assert "warning" not in err
+
     def test_embed_failure_exits_one(self, tmp_path, capsys):
         from dirac_subdiv import gen_two_clique_extremal
         host = write_instance(tmp_path, "tc.txt", gen_two_clique_extremal(18))
@@ -479,16 +490,21 @@ class TestSweep:
         assert out.splitlines()[1].split(",")[8] == "2"  # the errors column
         assert "note:" not in err
 
-    def test_non_monotone_rates_give_a_note(self, monkeypatch):
+    def test_non_monotone_rates_give_a_note(self, monkeypatch, capsys):
         def trial(kind, n, d, C, eps, seed):
             return {"ok": eps < 0.4, "master": 1, "good_partition": 1,
                     "block_levels": 1, "wall_s": 0.0, "error": None}
         monkeypatch.setattr(cli, "_sweep_trial", trial)
         spec = SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(6,),
                          epsilons=(0.5, 0.3), trials=2)
-        assert run_sweep(spec).notes == [
-            "note: success rate not monotone in epsilon for kind=complete n=3 "
-            "d=2 C=6 (statistical fluctuation is expected at small trial counts)"]
+        note = ("note: success rate not monotone in epsilon for kind=complete n=3 "
+                "d=2 C=6 (statistical fluctuation is expected at small trial counts)")
+        assert run_sweep(spec).notes == [note]
+        # the sweep command prints the note on stderr, after the table
+        assert main(["sweep", "--host-kind", "complete", "--n", "3", "--d", "2",
+                     "--C", "6", "--epsilon", "0.5,0.3", "--trials", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err.endswith(note + "\n") and "note:" not in out
 
 
 def test_python_m_entry_point():

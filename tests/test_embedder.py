@@ -610,7 +610,7 @@ class TestSwapRepair:
         def spy(rows, sides):
             out = real(rows, sides)
             if partition._worst_violation(
-                    rows, [(t, vs) for (t, _), vs in zip(sides, out)], first=True)[0] is None:
+                    rows, [(t, vs) for (t, _), vs in zip(sides, out)])[0] is None:
                 accepted.append({t[0][1] for t, _ in sides})
             return out
 

@@ -50,7 +50,7 @@ def test_block_partition_outcomes():
     # remainders 0 and d-1: blocks and group draws of every success, and
     # message, draws, level and violation of every PartitionError. Every
     # group with d >= 2 is accepted at its first draw, repairs included;
-    # five d = 1 pools fail their single check at level 0.
+    # five d = 1 pools fail their single draw at level 1.
     outcomes = []
     for C in (12, 16):
         for d in range(1, 9):
@@ -67,7 +67,7 @@ def test_block_partition_outcomes():
                     except PartitionError as err:
                         outcomes.append((str(err), err.attempts, err.level,
                                          err.violation))
-    assert digest(repr(outcomes)) == "e596f696088645cc"
+    assert digest(repr(outcomes)) == "15d0b0800eb46b87"
 
 
 def test_good_partition_outcomes():

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +43,21 @@ class TestGraphBasics:
             Graph(3, [(0, 3)])
         with pytest.raises(ValueError):
             Graph(-1)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1.5)], "edge (0,1.5) has an id that is not an integer"),
+        ([("0", "2")], "edge ('0','2') has an id that is not an integer"),
+        (np.array([[0, 1.9]]), "edge (0.0,1.9) has an id that is not an integer"),
+        ([(0, 5), (0, 1.5)], "edge (0,1.5) has an id that is not an integer"),
+        ([(0, 1), (0, 2 ** 63)], "edge (0,9223372036854775808) out of range for 3 vertices"),
+        ([(0, 1), (0, 2 ** 70)], f"edge (0,{2 ** 70}) out of range for 3 vertices"),
+    ])
+    def test_first_bad_edge_is_named(self, edges, message):
+        # an id is never truncated or parsed to an integer; numpy infers
+        # float64 for a list holding 2**63 and object for one holding 2**70,
+        # and both are integers out of range
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(3, edges)
 
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])

@@ -279,7 +279,7 @@ class TestBlockPartition:
                              alpha=0.6, delta=0.1, seed=4)
         assert len(bp.blocks) == 1
         assert len(bp.blocks[0]) == C - 2
-        assert bp.attempts == 0
+        assert bp.attempts == 1
         assert block_postconditions_hold(g, range(C), bp, 0.6, 0.1, C)
 
     def test_from_good_partition_group(self):
@@ -303,21 +303,22 @@ class TestBlockPartition:
             assert 1 + d + sum(len(b) for b in bp.blocks) == C * d
             assert 1 + d + (d - 1) * (C - 1) + (C - 2) == C * d
 
-    def test_d1_counts_no_draw(self):
-        # d = 1 takes the whole pool as its block without a random draw, so
-        # both outcomes report 0 attempts. The failing pool {2,3,4,5} is a
-        # 4-cycle: min degree 2 < 0.4*C = 2.4.
+    def test_d1_counts_one_draw(self):
+        # d = 1 has only one possible draw, the whole pool as its block, so
+        # both outcomes count one draw, and the miss raises at level 1 like
+        # any exhausted group. The failing pool {2,3,4,5} is a 4-cycle: min
+        # degree 2 < 0.4*C = 2.4.
         pool_matching = [(2, 3), (4, 5)]
         g = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
                       if (u, v) not in pool_matching])
         with pytest.raises(PartitionError) as exc:
             block_partition(g, range(6), center=0, connectors=[1],
                             alpha=0.5, delta=0.1)
-        assert exc.value.attempts == 0
+        assert exc.value.attempts == 1 and exc.value.level == 1
         assert exc.value.violation[0] == "block-min-degree"
         bp = block_partition(complete_graph(6), range(6), center=0,
                              connectors=[1], alpha=0.5, delta=0.1)
-        assert bp.attempts == 0
+        assert bp.attempts == 1
 
     def test_level_budget_exhaustion(self, monkeypatch):
         # complete bipartite group: no size-10 block can have min degree
@@ -424,26 +425,29 @@ class TestBlockOreBound:
 
 
 def reference_block_violation(g, center, connectors, entries, tau, C):
-    """The first missed block-stage event, recounted edge by edge in the
-    documented order: per (block index, vertex tuple) entry, the inner
-    degree of each vertex of S, the center's and the block's connector's
-    degree into S, then Ore's bound in B = S + {center, connector}: S, the
-    center, the connector."""
+    """The worst missed block-stage event, recounted edge by edge: the least
+    have - need, the first in the documented order on a tie, or None. Per
+    (block index, vertex tuple) entry the order is the inner degree of each
+    vertex of S, the center's and the block's connector's degree into S,
+    then Ore's bound in B = S + {center, connector}: S, the center, the
+    connector. One rule asks one need of each vertex it binds, so this is
+    the first vertex of least count in the first rule of least slack."""
     def have(v, members):
         return sum(g.has_edge(v, u) for u in members)
 
+    events = []
     for i, vs in entries:
         S, conn = set(vs), connectors[i]
         B = S | {center, conn}
-        events = [("block-min-degree", v, S, tau * C) for v in vs]
-        events += [("center-degree", center, S, tau * len(vs)),
-                   ("connector-degree", conn, S, tau * len(vs))]
-        events += [("block-ore-degree", v, B, (len(B) + 1) / 2)
-                   for v in (*vs, center, conn)]
-        for label, v, members, need in events:
-            if have(v, members) < need:
-                return (label, v, i, have(v, members), need)
-    return None
+        rules = [("block-min-degree", v, S, tau * C) for v in vs]
+        rules += [("center-degree", center, S, tau * len(vs)),
+                  ("connector-degree", conn, S, tau * len(vs))]
+        rules += [("block-ore-degree", v, B, (len(B) + 1) / 2)
+                  for v in (*vs, center, conn)]
+        events += [(label, v, i, have(v, members), need)
+                   for label, v, members, need in rules]
+    worst = min(events, key=lambda e: e[3] - e[4])
+    return worst if worst[3] < worst[4] else None
 
 
 def block_sides(center, connectors, entries, tau, C):
@@ -454,7 +458,7 @@ def block_sides(center, connectors, entries, tau, C):
 
 
 class TestBlockEventsReference:
-    def test_first_violation_matches_a_recount(self):
+    def test_worst_violation_matches_a_recount(self):
         # one or two blocks per call, in any index order, at thresholds with
         # integer and fractional needs
         rng = random.Random(17)
@@ -472,7 +476,7 @@ class TestBlockEventsReference:
                 rest = rest[k:]
             tau, C = rng.choice([0.25, 0.5, 0.75, 0.4375]), rng.randint(1, 12)
             got, _ = partition._worst_violation(
-                g.rows, block_sides(center, connectors, entries, tau, C), first=True)
+                g.rows, block_sides(center, connectors, entries, tau, C))
             assert got == reference_block_violation(g, center, connectors, entries, tau, C)
             labels.add(got and got[0])
         assert labels == {None, "block-min-degree", "center-degree",
@@ -504,31 +508,21 @@ def pair_shortfall(g, center, connectors, entries, tau, C):
 
 
 def exhaustive_repair(g, center, connectors, entries, tau, C):
-    """Steepest descent that rescores every allowed swap by recounting."""
+    """Steepest descent that rescores every swap by recounting."""
     (i, a_side), (j, b_side) = entries
     a_side, b_side = set(a_side), set(b_side)
-
-    def takes_part(k, side):
-        out = set()
-        for v, members, need in side_rules(center, connectors[k], side, tau, C):
-            if degree_into(g, v, members) < need:
-                out |= {u for u in side if not g.has_edge(u, v)}
-        return out
-
     for _ in range(len(a_side) + len(b_side)):
         now = pair_shortfall(g, center, connectors, [(i, a_side), (j, b_side)], tau, C)
         if now == 0:
             break
-        movable = takes_part(i, a_side) | takes_part(j, b_side)
         best, best_pair = 0, None
         for a in sorted(a_side):
             for b in sorted(b_side):
-                if a in movable or b in movable:
-                    after = pair_shortfall(g, center, connectors,
-                                           [(i, a_side - {a} | {b}),
-                                            (j, b_side - {b} | {a})], tau, C)
-                    if after - now < best:
-                        best, best_pair = after - now, (a, b)
+                after = pair_shortfall(g, center, connectors,
+                                       [(i, a_side - {a} | {b}),
+                                        (j, b_side - {b} | {a})], tau, C)
+                if after - now < best:
+                    best, best_pair = after - now, (a, b)
         if best_pair is None:
             break
         a, b = best_pair
@@ -600,7 +594,7 @@ class TestSwapRepair:
         calls = []
 
         def spy(rows, sides):
-            assert partition._worst_violation(rows, sides, first=True)[0] is not None
+            assert partition._worst_violation(rows, sides)[0] is not None
             calls.append(sides)
             return real(rows, sides)
 
