@@ -10,7 +10,7 @@ from .certificate import (SubdivisionCertificate, certificate_from_json,
                           certificate_to_json, read_certificate,
                           write_certificate)
 from .embedder import (EmbedConfig, EmbedReport, Template, TemplateCheck,
-                       build_template, check_template, embed_subdivision, glue)
+                       build_template, check_template, embed_subdivision)
 from .errors import GenerationError, PartitionError
 from .generators import (HostSpec, complete_graph, gen_dirac_host,
                          gen_random_regular, gen_two_clique_extremal)
@@ -39,7 +39,7 @@ __all__ = [
     "hypergeometric_tail_bound",
     "hamilton_path_between", "brute_force_hamilton_path",
     "EmbedConfig", "EmbedReport", "Template", "TemplateCheck",
-    "build_template", "check_template", "glue", "embed_subdivision",
+    "build_template", "check_template", "embed_subdivision",
     "SubdivisionCertificate", "certificate_to_json", "certificate_from_json",
     "read_certificate", "write_certificate",
     "PathLengthStats", "VerifyReport", "verify_certificate",

@@ -14,12 +14,13 @@ import sys
 from dataclasses import dataclass
 
 from .certificate import certificate_to_json, read_certificate, write_certificate
-from .embedder import EmbedConfig, embed_subdivision, stage_thresholds
+from .embedder import (EmbedConfig, embed_subdivision, resolve_dimensions,
+                       stage_thresholds)
 from .errors import GenerationError
-from .generators import (HostSpec, complete_graph, gen_dirac_host,
-                         gen_random_regular, gen_two_clique_extremal)
-from .graph import (format_edge_list, read_edge_list, regular_degree, to_dot,
-                    write_edge_list)
+from .generators import (HostSpec, check_pattern_dimensions, complete_graph,
+                         gen_dirac_host, gen_random_regular,
+                         gen_two_clique_extremal)
+from .graph import format_edge_list, read_edge_list, to_dot, write_edge_list
 from .partition import check_blowup
 from .rng import spawn_seed
 from .verifier import verify_certificate
@@ -28,7 +29,7 @@ HOST_KINDS = ("dirac", "complete", "two-clique")
 
 
 def _warn_small_d(n: int, d: int) -> None:
-    if n >= 2 and 1 <= d < math.log(n):
+    if d < math.log(n):
         print(f"warning: d={d} is below ln(n)={math.log(n):.2f}; the dense-host "
               "guarantee is only established for d >= ln n", file=sys.stderr)
 
@@ -50,6 +51,7 @@ def _cmd_gen(args) -> int:
         if args.n is None or args.d is None:
             print("gen --kind regular requires --n and --d", file=sys.stderr)
             return 2
+        check_pattern_dimensions(args.n, args.d)
         _warn_small_d(args.n, args.d)
         g = gen_random_regular(args.n, args.d, args.seed)
     else:  # dirac
@@ -57,9 +59,9 @@ def _cmd_gen(args) -> int:
             print("gen --kind dirac requires --n --d --C --epsilon",
                   file=sys.stderr)
             return 2
+        spec = HostSpec(args.n, args.d, args.C, args.epsilon, args.seed)
         _warn_small_d(args.n, args.d)
-        g = gen_dirac_host(HostSpec(args.n, args.d, args.C, args.epsilon,
-                                    args.seed))
+        g = gen_dirac_host(spec)
     if args.out:
         write_edge_list(g, args.out)
     else:
@@ -77,10 +79,8 @@ def _cmd_embed(args) -> int:
         epsilon=args.epsilon, C=args.C, seed=args.seed,
         master_attempts=args.master_attempts,
     )
-    try:
-        _warn_small_d(pattern.n, regular_degree(pattern))
-    except ValueError:  # not regular: embed_subdivision reports it
-        pass
+    n, d, _ = resolve_dimensions(host, pattern, cfg)
+    _warn_small_d(n, d)
     report = embed_subdivision(host, pattern, cfg)
     print(report.summary(), file=sys.stderr)
     if not report.success:
@@ -131,7 +131,7 @@ class SweepSpec:
         for k in self.kinds:
             if k not in HOST_KINDS:
                 raise ValueError(f"unknown host kind {k!r}")
-        for (n, d, C, eps) in self.cells_params():
+        for _, (_, n, d, C, eps) in self.cells():
             if n < 2 or not (1 <= d < n):
                 raise ValueError(f"cell (n={n}, d={d}) outside generator domain")
             if (n * d) % 2 != 0:
@@ -140,19 +140,10 @@ class SweepSpec:
                 raise ValueError(f"cell epsilon={eps}: need 0 < epsilon < 1")
             check_blowup(C, *stage_thresholds(eps)[1])
 
-    def cells_params(self):
-        for n in self.ns:
-            for d in self.ds:
-                for C in self.Cs:
-                    for eps in self.epsilons:
-                        yield (n, d, C, eps)
-
     def cells(self):
-        idx = 0
-        for kind in self.kinds:
-            for (n, d, C, eps) in self.cells_params():
-                yield idx, kind, n, d, C, eps
-                idx += 1
+        """Number the cells, kinds outermost: the index seeds the trials."""
+        from itertools import product
+        return enumerate(product(self.kinds, self.ns, self.ds, self.Cs, self.epsilons))
 
 
 @dataclass
@@ -192,21 +183,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     are reproducible and independent of execution order.
     """
     rows = []
-    for idx, kind, n, d, C, eps in spec.cells():
+    for idx, (kind, n, d, C, eps) in spec.cells():
         trials = [_sweep_trial(kind, n, d, C, eps, spawn_seed(spec.seed_base, idx, t))
                   for t in range(spec.trials)]
         succ = sum(1 for t in trials if t["ok"])
-        errors = sum(1 for t in trials if t["error"] is not None)
         row = {
             "kind": kind, "n": n, "d": d, "C": C, "epsilon": eps,
             "N": C * d * n, "trials": spec.trials, "successes": succ,
-            "errors": errors,
+            "errors": sum(1 for t in trials if t["error"] is not None),
             "success_rate": succ / spec.trials,
-            "mean_master": sum(t["master"] for t in trials) / spec.trials,
-            "mean_good_partition": sum(t["good_partition"] for t in trials) / spec.trials,
-            "mean_block_levels": sum(t["block_levels"] for t in trials) / spec.trials,
-            "mean_wall_ms": 1000.0 * sum(t["wall_s"] for t in trials) / spec.trials,
         }
+        for col, key, scale in (("mean_master", "master", 1),
+                                ("mean_good_partition", "good_partition", 1),
+                                ("mean_block_levels", "block_levels", 1),
+                                ("mean_wall_ms", "wall_s", 1000.0)):
+            row[col] = scale * sum(t[key] for t in trials) / spec.trials
         rows.append(row)
 
     notes = []
@@ -223,33 +214,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 f"kind={key[0]} n={key[1]} d={key[2]} C={key[3]} "
                 f"(statistical fluctuation is expected at small trial counts)")
 
-    cols = ["kind", "n", "d", "C", "epsilon", "N", "trials", "successes",
-            "errors", "success_rate", "mean_master", "mean_good_partition",
-            "mean_block_levels"]
-    if spec.include_timings:
-        cols.append("mean_wall_ms")
-
-    def fmt(row, col):
-        v = row[col]
-        if col == "epsilon":
-            return f"{v:g}"
-        if col == "success_rate":
-            return f"{v:.4f}"
-        if col.startswith("mean_"):
-            return f"{v:.3f}"
-        return str(v)
-
-    csv_lines = [",".join(cols)]
-    csv_lines.extend(",".join(fmt(row, c) for c in cols) for row in rows)
-    csv_text = "\n".join(csv_lines) + "\n"
-
-    table_cols = cols + (["mean_wall_ms"] if not spec.include_timings else [])
-    widths = {c: max(len(c), *(len(fmt(r, c)) for r in rows)) if rows else len(c)
-              for c in table_cols}
-    table_lines = ["  ".join(c.rjust(widths[c]) for c in table_cols)]
-    table_lines.extend(
-        "  ".join(fmt(r, c).rjust(widths[c]) for c in table_cols) for r in rows)
-    table_text = "\n".join(table_lines) + "\n"
+    # the header, then one row per cell, each value formatted once
+    cols = list(rows[0])  # a grid is never empty
+    specs = [{"epsilon": "g", "success_rate": ".4f"}.get(
+        c, ".3f" if c.startswith("mean_") else "") for c in cols]
+    matrix = [cols] + [[format(row[c], f) for c, f in zip(cols, specs)] for row in rows]
+    # wall times are not reproducible, so the CSV keeps them only on request
+    keep = [k for k, c in enumerate(cols) if spec.include_timings or c != "mean_wall_ms"]
+    csv_text = "".join(",".join(line[k] for k in keep) + "\n" for line in matrix)
+    widths = [max(map(len, column)) for column in zip(*matrix)]
+    table_text = "".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(line, widths)) + "\n"
+        for line in matrix)
 
     return SweepResult(rows, csv_text, table_text, notes)
 

@@ -339,25 +339,6 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
     return TemplateCheck(True)
 
 
-def glue(g: Graph, p_ij, p_ji) -> list[int]:
-    """Concatenate a branch-to-connector path with the reverse of its twin.
-
-    p_ij runs from one branch vertex to its connector, p_ji likewise on the
-    other side; the two connectors must be adjacent in g and the paths
-    disjoint. The result runs branch to branch with edge count
-    len(p_ij) + len(p_ji) - 1.
-    """
-    if len(p_ij) < 2 or len(p_ji) < 2:
-        raise ValueError("glue needs paths with at least two vertices each")
-    overlap = set(p_ij) & set(p_ji)
-    if overlap:
-        raise ValueError(f"paths overlap at {sorted(overlap)[:5]}")
-    if not g.has_edge(p_ij[-1], p_ji[-1]):
-        raise ValueError(
-            f"connector endpoints {p_ij[-1]} and {p_ji[-1]} not adjacent")
-    return list(p_ij) + list(reversed(p_ji))
-
-
 def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
     """Run the full pipeline and return a report (with certificate on success).
 
@@ -406,10 +387,9 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
             assert path is not None, f"no Hamilton path in block {(i, j)}"
             half_paths[(i, j)] = path
 
-        edge_paths = {}
-        for (i, j) in sorted(h.edges()):
-            edge_paths[(i, j)] = tuple(glue(g, half_paths[(i, j)],
-                                            half_paths[(j, i)]))
+        # the verifier below is the check of every glued path
+        edge_paths = {(i, j): (*half_paths[(i, j)], *reversed(half_paths[(j, i)]))
+                      for (i, j) in sorted(h.edges())}
         cert = SubdivisionCertificate(
             host_vertex_count=g.n, pattern=h,
             branch_map=template.branch, edge_paths=edge_paths)

@@ -21,6 +21,14 @@ from .rng import make_rng, spawn_seed
 SWITCH_BUDGET = 64  # batches of n*d/2 repair proposals before GenerationError
 
 
+def check_pattern_dimensions(n: int, d: int) -> None:
+    """Raise ValueError unless n >= 2 and 1 <= d < n, the patterns embed takes."""
+    if n < 2:
+        raise ValueError("pattern vertex count n must be >= 2")
+    if not (1 <= d < n):
+        raise ValueError("pattern regularity d must satisfy 1 <= d < n")
+
+
 @dataclass(frozen=True)
 class HostSpec:
     """Parameters of a dense host instance for an n-vertex d-regular pattern.
@@ -36,10 +44,7 @@ class HostSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("pattern vertex count n must be >= 2")
-        if not (1 <= self.d < self.n):
-            raise ValueError("pattern regularity d must satisfy 1 <= d < n")
+        check_pattern_dimensions(self.n, self.d)
         if self.C < 1:
             raise ValueError("blow-up constant C must be >= 1")
         if not (0.0 < self.epsilon < 1.0):

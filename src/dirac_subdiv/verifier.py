@@ -40,8 +40,7 @@ class PathLengthStats:
 
 @dataclass
 class VerifyReport:
-    checks: list[tuple[str, bool, str | None]]
-    spanning_required: bool
+    checks: list[tuple[str, bool, str | None]]  # CHECK_NAMES, spanning if required
     length_stats: PathLengthStats
 
     @property
@@ -186,4 +185,4 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
         witness = f"host vertex {missing[0]} uncovered" if missing else None
         checks.append(("spanning", not missing, witness))
 
-    return VerifyReport(checks, require_spanning, path_length_stats(cert))
+    return VerifyReport(checks, path_length_stats(cert))

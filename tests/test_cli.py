@@ -75,6 +75,20 @@ class TestGen:
         assert main(["gen", *argv]) == 2
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "regular", "--n", "4", "--d", "0"],
+         "pattern regularity d must satisfy 1 <= d < n"),
+        (["--kind", "regular", "--n", "1", "--d", "0"],
+         "pattern vertex count n must be >= 2"),
+        (["--kind", "dirac", "--n", "4", "--d", "0", "--C", "12", "--epsilon", "0.25"],
+         "pattern regularity d must satisfy 1 <= d < n"),
+    ], ids=["regular-d0", "regular-n1", "dirac-d0"])
+    def test_pattern_outside_embed_domain_usage_error(self, capsys, argv, message):
+        # gen writes no pattern that embed would reject, and warns about none
+        assert main(["gen", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_small_d_warning(self, tmp_path, capsys):
         assert main(["gen", "--kind", "regular", "--n", "30", "--d", "1",
                      "--out", str(tmp_path / "m.txt")]) == 0
@@ -506,6 +520,44 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert err.endswith(note + "\n") and "note:" not in out
 
+    def test_table_and_csv_are_pinned(self, tmp_path, monkeypatch, capsys):
+        # fixed trial outcomes and zero wall times make every rendering exact
+        def trial(kind, n, d, C, eps, seed):
+            errored = kind == "two-clique" and eps < 0.3
+            return {"ok": kind == "complete", "master": 1 if kind == "complete" else 5,
+                    "good_partition": 12 if kind == "complete" else 3,
+                    "block_levels": round(eps * 40), "wall_s": 0.0,
+                    "error": "no host" if errored else None}
+        monkeypatch.setattr(cli, "_sweep_trial", trial)
+        table = (
+            "      kind  n  d  C  epsilon   N  trials  successes  errors  success_rate"
+            "  mean_master  mean_good_partition  mean_block_levels  mean_wall_ms\n"
+            "  complete  3  2  6      0.4  36       2          2       0        1.0000"
+            "        1.000               12.000             16.000         0.000\n"
+            "  complete  3  2  6     0.25  36       2          2       0        1.0000"
+            "        1.000               12.000             10.000         0.000\n"
+            "two-clique  3  2  6      0.4  36       2          0       0        0.0000"
+            "        5.000                3.000             16.000         0.000\n"
+            "two-clique  3  2  6     0.25  36       2          0       2        0.0000"
+            "        5.000                3.000             10.000         0.000\n")
+        csv = [
+            "kind,n,d,C,epsilon,N,trials,successes,errors,success_rate,"
+            "mean_master,mean_good_partition,mean_block_levels,mean_wall_ms",
+            "complete,3,2,6,0.4,36,2,2,0,1.0000,1.000,12.000,16.000,0.000",
+            "complete,3,2,6,0.25,36,2,2,0,1.0000,1.000,12.000,10.000,0.000",
+            "two-clique,3,2,6,0.4,36,2,0,0,0.0000,5.000,3.000,16.000,0.000",
+            "two-clique,3,2,6,0.25,36,2,0,2,0.0000,5.000,3.000,10.000,0.000"]
+        argv = ["sweep", "--host-kind", "complete,two-clique", "--n", "3",
+                "--d", "2", "--C", "6", "--epsilon", "0.4,0.25", "--trials", "2"]
+        out = str(tmp_path / "sweep.csv")
+        assert main(argv + ["--timings", "--out", out]) == 0
+        assert Path(out).read_text() == "\n".join(csv) + "\n"
+        assert capsys.readouterr().err == table
+        # without --timings the CSV drops mean_wall_ms; the table keeps it
+        assert main(argv + ["--out", out]) == 0
+        assert Path(out).read_text() == "".join(
+            line.rsplit(",", 1)[0] + "\n" for line in csv)
+        assert capsys.readouterr().err == table
 
 def test_python_m_entry_point():
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -12,7 +12,7 @@ from dirac_subdiv import (EmbedConfig, Graph,
                           Template, build_template, certificate_from_json,
                           certificate_to_json, check_template, complete_graph,
                           embed_subdivision, gen_dirac_host,
-                          gen_random_regular, gen_two_clique_extremal, glue,
+                          gen_random_regular, gen_two_clique_extremal,
                           HostSpec, PartitionError, interval_tree,
                           verify_certificate)
 from dirac_subdiv.embedder import TemplateCheck, _select_connectors_and_branch
@@ -236,43 +236,6 @@ class TestCheckTemplate:
         assert not chk.ok and chk.label == "cover"
 
 
-class TestGlue:
-    def host(self):
-        return Graph(4, [(0, 1), (1, 3), (2, 3)])
-
-    def test_definition(self):
-        g = self.host()
-        assert glue(g, [0, 1], [2, 3]) == [0, 1, 3, 2]
-
-    def test_degenerate_rejected(self):
-        g = self.host()
-        with pytest.raises(ValueError):
-            glue(g, [0], [2, 3])
-        with pytest.raises(ValueError):
-            glue(g, [0], [2])
-
-    def test_overlap_rejected(self):
-        g = complete_graph(4)
-        with pytest.raises(ValueError):
-            glue(g, [0, 1], [1, 2])
-
-    def test_missing_connector_edge_rejected(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError):
-            glue(g, [0, 1], [2, 3])
-
-    def test_length_arithmetic(self):
-        # interiors of sizes C-1 and C glue to 2C-1 interior vertices
-        C = 6
-        g = complete_graph(2 * C + 2)
-        p = list(range(0, C))            # C vertices
-        q = list(range(C, 2 * C + 1))    # C+1 vertices
-        out = glue(g, p, q)
-        assert len(out) == len(p) + len(q)
-        assert len(out) - 1 == (len(p) - 1) + (len(q) - 1) + 1
-        assert len(out) - 2 == 2 * C - 1  # interior count
-
-
 class TestEmbedSubdivision:
     def test_complete_host_success(self):
         g = complete_graph(36)
@@ -428,6 +391,33 @@ class TestHamiltonStage:
             embed_subdivision(complete_graph(36), complete_graph(3),
                               EmbedConfig(epsilon=0.3, C=6, seed=2))
 
+    def test_a_glue_fault_is_an_error(self, monkeypatch):
+        # glued paths have no check of their own: the verifier is that
+        # check, so a half path that reuses an interior vertex of its twin
+        # is a fault that names the failed checks, not a usage error
+        templates = []
+        real_build = embedder.build_template
+        real_path = embedder.hamilton_path_between
+
+        def build_spy(*args, **kwargs):
+            templates.append(real_build(*args, **kwargs))
+            return templates[-1]
+
+        def overlap_in_block_10(g, x, y, **kwargs):
+            path, stats = real_path(g, x, y, **kwargs)
+            t = templates[-1]
+            if y == t.connectors[(1, 0)]:
+                twin, _ = real_path(g, t.branch[0], t.connectors[(0, 1)],
+                                    within=t.blocks[(0, 1)], return_stats=True)
+                path = [path[0], twin[1], *path[1:]]
+            return path, stats
+
+        monkeypatch.setattr(embedder, "build_template", build_spy)
+        monkeypatch.setattr(embedder, "hamilton_path_between", overlap_in_block_10)
+        with pytest.raises(AssertionError, match="paths-simple"):
+            embed_subdivision(complete_graph(36), complete_graph(3),
+                              EmbedConfig(epsilon=0.3, C=6, seed=2))
+
     def test_blocks_are_paths_of_the_host_rows(self, monkeypatch):
         # the golden certificate's run: no induced graph is built, and each
         # block is one Hamilton call on the host with the block as `within`
@@ -466,7 +456,7 @@ class TestAttemptCounts:
 
     def test_forced_block_partition_failure(self, monkeypatch):
         # K36 host, triangle pattern (C=6, d=2): the good partition and the
-        # one bisection level of a group are accepted at their first draw.
+        # blocks of each group are accepted at their first draw.
         # Every second block partition (group 1 of each attempt) is made to
         # fail after 7 draws, so an attempt draws 1 + 1 + 7 and stops.
         real = embedder.block_partition
@@ -599,7 +589,7 @@ class TestSwapRepair:
         assert verify_certificate(host, h, rep.certificate, require_spanning=True).ok
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_in_domain_instances_repair_inner_levels(self, monkeypatch, seed):
+    def test_in_domain_instances_repair_non_sibling_pairs(self, monkeypatch, seed):
         # n=64 and d = 5 = ceil(ln 64), inside the paper's domain: some
         # accepted repair pairs two blocks that are not siblings in
         # interval_tree(5), whose only sibling blocks are {0, 1} and {3, 4},

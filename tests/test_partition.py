@@ -263,7 +263,7 @@ def block_postconditions_hold(g, group, bp, alpha, delta, C):
 
 
 class TestBlockPartition:
-    def test_complete_group_any_bisection(self):
+    def test_complete_group_near_equal_blocks(self):
         C, d = 8, 4
         g = complete_graph(C * d)
         bp = block_partition(g, range(C * d), center=0,

@@ -2,6 +2,7 @@ import pytest
 
 from dirac_subdiv import (Graph, SubdivisionCertificate, complete_graph,
                           path_length_stats, verify_certificate)
+from dirac_subdiv.verifier import CHECK_NAMES
 
 from support import (certificate_mutations, path_graph,
                      valid_base_certificate)
@@ -20,6 +21,13 @@ class TestBaseCertificate:
         b = verify_certificate(host, pattern, cert, require_spanning=True)
         assert a.checks == b.checks
         assert a.summary() == b.summary()
+
+    def test_reports_every_check_in_order(self):
+        # spanning is the last check, and the only one a caller can skip
+        host, pattern, cert = valid_base_certificate()
+        for spanning, names in ((True, CHECK_NAMES), (False, CHECK_NAMES[:-1])):
+            rep = verify_certificate(host, pattern, cert, require_spanning=spanning)
+            assert tuple(name for name, _, _ in rep.checks) == names
 
 
 class TestMutations:
