@@ -20,7 +20,7 @@ from .errors import GenerationError
 from .generators import (HostSpec, check_pattern_dimensions, complete_graph,
                          gen_dirac_host, gen_random_regular,
                          gen_two_clique_extremal)
-from .graph import format_edge_list, read_edge_list, to_dot, write_edge_list
+from .graph import _edge_list_blocks, read_edge_list, to_dot, write_edge_list
 from .partition import check_blowup
 from .rng import spawn_seed
 from .verifier import verify_certificate
@@ -64,8 +64,9 @@ def _cmd_gen(args) -> int:
         g = gen_dirac_host(spec)
     if args.out:
         write_edge_list(g, args.out)
-    else:
-        sys.stdout.write(format_edge_list(g))
+    else:  # as bytes, so the "\n" line ends hold on every platform
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(_edge_list_blocks(g))
     if args.dot:
         with open(args.dot, "w", encoding="ascii") as fh:
             fh.write(to_dot(g))

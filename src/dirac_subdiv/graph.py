@@ -6,13 +6,18 @@ bit u of row v is set when uv is an edge, so a row costs about n/8 bytes
 whatever the degree. Degrees are popcounts; neighbour tuples and edge lists
 are read off the set bits in ascending order. Graphs are immutable and safe
 to share across threads. Edge lists are read by an accept-only array pass in
-front of a line reader that states the grammar and names every fault.
+front of a line reader that states the grammar and names every fault; the
+line reader matches lines lazily and keeps the pairs in an int64 array.
+Edge lists are written a block of rows at a time, each line two gathers from
+a per-id table of fixed-width records (the digits and a space, the digits and
+a line end), so the writer's memory is bounded by the block, not the text.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from array import array
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -43,9 +48,10 @@ class Graph:
                         raise ValueError(f"edge ({u!r},{v!r}) has an id that is not an integer")
             try:
                 uv = np.asarray(edges, np.int64)
-            except OverflowError:  # an id past int64
-                raise _out_of_range(*next((u, v) for u, v in edges
-                                          if not (0 <= u < n and 0 <= v < n)), n) from None
+            except OverflowError:  # an id past int64, so past n unless n is too
+                bad = next(((u, v) for u, v in edges
+                            if not (0 <= u < n and 0 <= v < n)), None)
+                raise (_too_large(n) if bad is None else _out_of_range(*bad, n)) from None
         uv = uv.astype(np.int64, copy=False)
         if uv.size and (uv.ndim != 2 or uv.shape[1] != 2):
             raise ValueError("edges must be (u, v) pairs")
@@ -58,13 +64,19 @@ class Graph:
         try:
             masks = [0] * n
         except (OverflowError, MemoryError):  # past what a list can hold
-            raise ValueError(f"vertex count {n} is too large") from None
+            raise _too_large(n) from None
         if len(u):  # one matrix row per vertex with an edge
             touched = np.zeros(n, bool)
             touched[u] = touched[v] = True
             slot = np.cumsum(touched) - 1
             adj = np.zeros((int(slot[-1]) + 1, n), bool)
-            adj[slot[u], v] = adj[slot[v], u] = True
+            cells = adj.reshape(-1)
+            for a, b in ((u, v), (v, u)):  # set cell (slot[a], b), indexed flat
+                i = slot[a]
+                i *= n
+                i += b
+                cells[i] = True
+                del i  # before the next slot[a] is built
             for i, row in zip(np.flatnonzero(touched).tolist(), pack_rows(adj)):
                 masks[i] = row
         self._store(masks)
@@ -141,17 +153,22 @@ def _out_of_range(u: int, v: int, n: int) -> ValueError:
     return ValueError(f"edge ({u},{v}) out of range for {n} vertices")
 
 
+def _too_large(n: int) -> ValueError:
+    return ValueError(f"vertex count {n} is too large")
+
+
 def pack_rows(adj: np.ndarray) -> list[int]:
     """One int bitmask per row of a boolean matrix: bit j of row i is adj[i, j]."""
     packed = np.packbits(adj, axis=1, bitorder="little")
     return [int.from_bytes(row, "little") for row in packed]
 
 
-def _unpack_rows(g: Graph, vs) -> np.ndarray:
-    """0/1 matrix of the rows of the vertices vs, one column per vertex of g."""
-    width = (g.n + 7) // 8
-    rows = np.frombuffer(b"".join(g._masks[v].to_bytes(width, "little") for v in vs), np.uint8)
-    return np.unpackbits(rows.reshape(len(vs), width), axis=1, count=g.n, bitorder="little")
+def _unpack_rows(masks: list[int], n: int) -> np.ndarray:
+    """Boolean matrix of bitmask rows over n columns: cell (i, j) is bit j of masks[i]."""
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    cells = np.unpackbits(rows.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    return cells.view(bool)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -199,7 +216,7 @@ def induced(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     if vs and not (0 <= vs[0] and vs[-1] < g.n):
         raise ValueError("member set contains out-of-range vertices")
     index = {v: i for i, v in enumerate(vs)}
-    return Graph._from_rows(pack_rows(_unpack_rows(g, vs)[:, vs])), index
+    return Graph._from_rows(pack_rows(_unpack_rows([g.rows[v] for v in vs], g.n)[:, vs])), index
 
 
 def min_degree(g: Graph) -> int | None:
@@ -221,18 +238,33 @@ def regular_degree(g: Graph) -> int:
 # it does not accept. The array pass reads only the writer's spelling, "N M\n"
 # then "u v\n" per edge, which its separators alone prove.
 
-_EDGE_LINE = re.compile(r"[ \t]*-?[0-9]+[ \t]+-?[0-9]+[ \t]*")
+_EDGE_LINE = re.compile(r"[ \t]*(-?[0-9]+)[ \t]+(-?[0-9]+)[ \t]*")
+_LINE = re.compile(r"[ \t]*[^ \t\r\n][^\r\n]*")  # a line that is not blank
+_BLOCK_CELLS = 1 << 18  # adjacency cells the writer unpacks per block of rows
+
+
+def _edge_list_blocks(g: Graph) -> Iterator[bytes]:
+    """The edge-list document of g in pieces: the header, then the lines of
+    one block of rows at a time, so the memory held is bounded by the block."""
+    n = g.n
+    yield f"{n} {g.edge_count}\n".encode()
+    # per-id records "digits " and "digits\n", NUL-padded to one width, so
+    # each line is two 1-D gathers; the NULs are dropped per block
+    ids = np.arange(n).astype(f"S{len(str(max(n - 1, 0)))}")
+    head, tail = np.char.add(ids, b" "), np.char.add(ids, b"\n")
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for r0 in range(0, n, step):
+        # row u keeps only its bits past u, so each edge shows once, as u < v
+        cells = _unpack_rows([g.rows[u] >> u + 1 << u + 1
+                              for u in range(r0, min(r0 + step, n))], n)
+        u, v = np.divmod(np.flatnonzero(cells), n)
+        lines = np.empty((len(u), 2), head.dtype)
+        lines[:, 0], lines[:, 1] = head.take(u + r0), tail.take(v)
+        yield lines.tobytes().translate(None, b"\0")
 
 
 def format_edge_list(g: Graph) -> str:
-    u, v = np.nonzero(np.triu(_unpack_rows(g, range(g.n)), 1))
-    w = len(str(max(g.n - 1, 0)))
-    # each id's digits, NUL-padded to the widest id; the NULs are dropped below
-    digits = np.arange(g.n).astype(f"S{w}").view(np.uint8).reshape(-1, w)
-    lines = np.zeros((len(u), 2 * w + 2), np.uint8)
-    lines[:, :w], lines[:, w] = digits[u], ord(" ")
-    lines[:, w + 1:-1], lines[:, -1] = digits[v], ord("\n")
-    return f"{g.n} {g.edge_count}\n" + lines[lines != 0].tobytes().decode("ascii")
+    return b"".join(_edge_list_blocks(g)).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -265,36 +297,48 @@ def _array_pass(text: str) -> Graph | None:
 
 def _read_lines(text: str) -> Graph:
     """Graph of an edge-list document read a line at a time; see parse_edge_list."""
-    lines = [ln for ln in re.split(r"\r\n|\r|\n", text) if ln.strip(" \t")]
-    if not lines:
+    lines = _LINE.finditer(text)
+    head = next(lines, None)
+    if head is None:
         raise ValueError("empty edge-list document")
-    if not _EDGE_LINE.fullmatch(lines[0]):
-        raise ValueError(f"header must be 'N M', got {lines[0].strip()!r}")
-    n, m = map(int, lines[0].split())
+    counts = _EDGE_LINE.fullmatch(head.group())
+    if not counts:
+        raise ValueError(f"header must be 'N M', got {head.group().strip()!r}")
+    n, m = map(int, counts.groups())
     if n < 0 or m < 0:
         raise ValueError("negative counts in header")
-    if len(lines) - 1 != m:
-        raise ValueError(f"header declares {m} edges, found {len(lines) - 1}")
-    edges, repeat = {}, None
-    for ln in lines[1:]:
-        if not _EDGE_LINE.fullmatch(ln):
-            raise ValueError(f"malformed edge line {ln.strip()!r}")
-        u, v = map(int, ln.split())
+    found = sum(1 for _ in lines)
+    if found != m:
+        raise ValueError(f"header declares {m} edges, found {found}")
+    # an id past int64 lies below an n past it, which no Graph can hold; a
+    # list keeps such ids for the repeated-pair check that precedes that fault
+    uv = array("q") if n <= np.iinfo(np.int64).max else []
+    for ln in _LINE.finditer(text, head.end()):
+        edge = _EDGE_LINE.fullmatch(ln.group())
+        if not edge:
+            raise ValueError(f"malformed edge line {ln.group().strip()!r}")
+        u, v = map(int, edge.groups())
         if u >= v:
             raise ValueError(f"edge {u} {v} violates u < v")
         if u < 0 or v >= n:
             raise _out_of_range(u, v, n)
-        if (u, v) in edges and not repeat:
-            repeat = (u, v)
-        edges[u, v] = None
-    if repeat:
-        raise ValueError("duplicate edge {} {}".format(*repeat))
-    return Graph(n, list(edges))
+        uv.append(u)
+        uv.append(v)
+    uv = np.asarray(uv, np.int64 if isinstance(uv, array) else object).reshape(-1, 2)
+    # a stable sort keeps equal pairs in input order, so the earliest second
+    # occurrence is the first repeated pair
+    order = np.lexsort(uv.T[::-1])
+    ranked = uv[order]
+    again = (ranked[1:] == ranked[:-1]).all(axis=1)
+    if again.any():
+        raise ValueError("duplicate edge {} {}".format(*uv[order[1:][again].min()].tolist()))
+    return Graph(n, uv)
 
 
 def write_edge_list(g: Graph, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_edge_list(g))
+    # binary, so the "\n" line ends hold on every platform
+    with open(path, "wb") as fh:
+        fh.writelines(_edge_list_blocks(g))
 
 
 def read_edge_list(path: str | os.PathLike) -> Graph:

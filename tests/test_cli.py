@@ -28,6 +28,13 @@ class TestGen:
         out = capsys.readouterr().out
         assert out == format_edge_list(complete_graph(5))
 
+    def test_stdout_streams_every_row_block(self, capsysbinary, tmp_path):
+        # 600 rows of 600 cells are two row blocks of the writer
+        out = str(tmp_path / "k600.txt")
+        assert main(["gen", "--kind", "complete", "--n", "600", "--out", out]) == 0
+        assert main(["gen", "--kind", "complete", "--n", "600"]) == 0
+        assert capsysbinary.readouterr().out == Path(out).read_bytes()
+
     def test_two_clique_file(self, tmp_path):
         out = str(tmp_path / "tc.txt")
         assert main(["gen", "--kind", "two-clique", "--n", "4", "--out", out]) == 0

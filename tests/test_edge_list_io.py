@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dirac_subdiv import (Graph, HostSpec, format_edge_list, gen_dirac_host,
-                          graph, parse_edge_list)
+                          graph, parse_edge_list, write_edge_list)
 
 
 def reference_parse(text: str) -> Graph:
@@ -150,13 +150,26 @@ def sampled_graph(n: int) -> Graph:
     return Graph(n, np.column_stack((iu[keep], iv[keep])))
 
 
+# orders on both sides of each id-width step; from 1000 on, several row blocks
+ORDERS = [0, 1, 9, 10, 11, 65, 100, 101, 1000, 1001]
+
+
 class TestFormat:
-    @pytest.mark.parametrize("n", [0, 1, 9, 10, 65, 100, 1000])
-    def test_matches_line_by_line_formatter(self, n):
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_matches_line_by_line_formatter(self, n, tmp_path):
         g = sampled_graph(n)
         text = format_edge_list(g)
         assert text == reference_format(g)
         assert parse_edge_list(text) == g
+        write_edge_list(g, tmp_path / "g.txt")
+        assert (tmp_path / "g.txt").read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_write_memory_stays_bounded(self, n, tmp_path):
+        # N=1,536 and N=3,072: 8.4 and 34 MB of text, written a block of rows
+        # at a time, so the peak does not grow with the text
+        g = gen_dirac_host(HostSpec(n, 4, 12, 0.25, seed=5))
+        assert traced_peak(lambda: write_edge_list(g, tmp_path / "g.txt")) <= 16 * 2 ** 20
 
 
 @pytest.fixture
@@ -192,7 +205,7 @@ class TestWriterSpelling:
     one separator away from the writer's spelling parse as the reference does."""
 
     @pytest.mark.usefixtures("no_line_reader")
-    @pytest.mark.parametrize("n", [0, 1, 9, 10, 65, 100, 1000])
+    @pytest.mark.parametrize("n", ORDERS)
     def test_format_sizes(self, n):
         g = sampled_graph(n)
         assert parse_edge_list(format_edge_list(g)) == g
@@ -216,13 +229,26 @@ class TestWriterSpelling:
         assert got is ValueError if expected is ValueError else got == expected
 
 
-def test_parse_memory_stays_linear():
-    # the cli-pipeline host: N=480, about 110k edges, 0.84 MB of text
-    text = format_edge_list(gen_dirac_host(HostSpec(10, 4, 12, 0.25, seed=5)))
+def traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of one call of run()."""
     tracemalloc.start()
     try:
-        parse_edge_list(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * len(text)
+
+
+def cli_pipeline_host_text() -> str:
+    # the cli-pipeline host: N=480, about 110k edges, 0.84 MB of text
+    return format_edge_list(gen_dirac_host(HostSpec(10, 4, 12, 0.25, seed=5)))
+
+
+def test_parse_memory_stays_linear():
+    text = cli_pipeline_host_text()
+    assert traced_peak(lambda: parse_edge_list(text)) <= 16 * len(text)
+
+
+def test_line_reader_memory_stays_linear():
+    text = cli_pipeline_host_text().replace(" ", "\t")  # off the writer's spelling
+    assert traced_peak(lambda: parse_edge_list(text)) <= 16 * len(text)

@@ -251,6 +251,7 @@ class TestEdgeListFormat:
     @pytest.mark.parametrize("text, message", [
         ("3 2\n0 1\n0 1\n", "duplicate edge 0 1"),
         ("3 3\n0 1\n0 2\n0 1\n", "duplicate edge 0 1"),
+        ("4 4\n0 1\n1 2\n1 2\n0 1\n", "duplicate edge 1 2"),  # first repeated in input order
         ("3 1\n-1 2\n", "edge (-1,2) out of range for 3 vertices"),
         ("3 1\n0 3\n", "edge (0,3) out of range for 3 vertices"),
         ("3 1\n0 9223372036854775808\n",
@@ -274,11 +275,14 @@ class TestEdgeListFormat:
     @pytest.mark.parametrize("n", [10 ** 20, 2 ** 62])
     def test_huge_vertex_count_is_value_error(self, n):
         # CPython refuses a list this long before allocating anything
-        for build in (lambda: Graph(n), lambda: Graph(n, [(0, 1)])):
+        for build in (lambda: Graph(n), lambda: Graph(n, [(0, 1)]),
+                      lambda: Graph(n, [(0, n - 1)]), lambda: parse_edge_list(f"{n} 0\n"),
+                      lambda: parse_edge_list(f"{n} 1\n0 {n - 1}\n")):
             with pytest.raises(ValueError, match=f"^vertex count {n} is too large$"):
                 build()
-        with pytest.raises(ValueError, match=f"^vertex count {n} is too large$"):
-            parse_edge_list(f"{n} 0\n")
+        # a repeated pair is named before the vertex count
+        with pytest.raises(ValueError, match=f"^duplicate edge 0 {n - 1}$"):
+            parse_edge_list(f"{n} 2\n0 {n - 1}\n0 {n - 1}\n")
 
     def test_dot_export(self):
         g = path_graph(3)
