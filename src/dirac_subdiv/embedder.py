@@ -22,6 +22,7 @@ certificate always verifies: a rejected one is a bug, not a retry.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .certificate import SubdivisionCertificate
@@ -274,41 +275,42 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
                 False, "structure",
                 f"block ({i},{j}) missing its branch or connector vertex")
 
-    cover = set()
-    for blk in t.blocks.values():
-        cover.update(blk)
-    if cover != set(range(g.n)):
-        missing = sorted(set(range(g.n)) - cover)
-        extra = sorted(cover - set(range(g.n)))
-        return TemplateCheck(False, "cover",
-                             f"missing {missing[:5]} extra {extra[:5]}")
+    # every id in range before any 1 << v, then one mask per block and group
+    blocks = t.blocks
+    in_range = all(0 <= min(blk) and max(blk) < g.n for blk in blocks.values())
+    masks = {k: mask_of(blk) for k, blk in blocks.items()} if in_range else {}
+    group = [0] * n
+    for (i, _), m in masks.items():
+        group[i] |= m
+    cover = 0
+    for m in group:
+        cover |= m
+    if not in_range or cover != g.full_mask():
+        ids, host = set().union(*blocks.values()), set(range(g.n))
+        return TemplateCheck(False, "cover", f"missing {sorted(host - ids)[:5]} "
+                                             f"extra {sorted(ids - host)[:5]}")
 
-    group_union: dict[int, set[int]] = {}
-    for i in range(n):
-        group_union[i] = set()
-        for j in h.neighbors(i):
-            group_union[i].update(t.blocks[(i, j)])
-    seen: dict[int, int] = {}
-    for i in range(n):
-        for v in sorted(group_union[i]):
-            if v in seen:
-                return TemplateCheck(
-                    False, "groups-disjoint",
-                    f"vertex {v} appears in groups {seen[v]} and {i}")
-            seen[v] = i
+    seen = 0
+    for i, m in enumerate(group):
+        if m & seen:  # its lowest id in an earlier group
+            v = (m & seen & -(m & seen)).bit_length() - 1
+            first = next(k for k in range(i) if group[k] >> v & 1)
+            return TemplateCheck(False, "groups-disjoint",
+                                 f"vertex {v} appears in groups {first} and {i}")
+        seen |= m
 
+    # the structure check put the branch in all d blocks of its group, so they
+    # share only it when none lists a vertex twice and sizes sum to |group|+d-1
     for i in range(n):
-        counts: dict[int, int] = {}
-        deg = len(h.neighbors(i))
-        for j in h.neighbors(i):
-            for v in t.blocks[(i, j)]:
-                counts[v] = counts.get(v, 0) + 1
-        for v, c in counts.items():
-            want = deg if v == t.branch[i] else 1
-            if c != want:
-                return TemplateCheck(
-                    False, "within-group-overlap",
-                    f"vertex {v} lies in {c} blocks of group {i}, want {want}")
+        keys = [(i, j) for j in h.neighbors(i)]
+        d, branch = len(keys), t.branch[i]
+        if (any(len(blocks[k]) != masks[k].bit_count() for k in keys)
+                or sum(len(blocks[k]) for k in keys) != group[i].bit_count() + d - 1):
+            counts = Counter(v for k in keys for v in blocks[k])
+            v = next(v for v, c in counts.items() if c != (d if v == branch else 1))
+            return TemplateCheck(False, "within-group-overlap",
+                                 f"vertex {v} lies in {counts[v]} blocks of group {i}, "
+                                 f"want {d if v == branch else 1}")
 
     lo, hi = t.size_window
     for key in sorted(expected):
@@ -319,8 +321,7 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
 
     rows = g.rows  # the cover check above put every block id in range
     for key in sorted(expected):
-        blk = t.blocks[key]
-        bmask = mask_of(blk)
+        blk, bmask = blocks[key], masks[key]
         need = (len(blk) + 1) / 2.0
         for v in blk:
             have = (rows[v] & bmask).bit_count()

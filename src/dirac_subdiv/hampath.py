@@ -105,8 +105,7 @@ def _exact_path(g: Graph, x: int, y: int) -> list[int] | None:
     return path
 
 
-def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
-                          seed: int = 0, return_stats: bool = False,
+def hamilton_path_between(g: Graph, x: int, y: int, return_stats: bool = False,
                           within=None):
     """Hamilton x,y-path of g, or None if there is none.
 
@@ -122,8 +121,7 @@ def hamilton_path_between(g: Graph, x: int, y: int, budget: int = 24,
     Any other set of at most EXACT_THRESHOLD vertices gets the exact subset
     DP on its induced graph, so None is always definitive: no Hamilton
     x,y-path exists. A larger set that misses the bound is a ValueError.
-    The path is deterministic; `budget` and `seed` are unused and kept for
-    callers that pass them.
+    The path is deterministic.
 
     With return_stats=True returns (path, stats) where stats reads
     restarts 0 and whether the exact DP ran.

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import PartitionError
 from .graph import Graph, mask_of, min_degree, regular_degree
@@ -276,8 +277,10 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
     meets the largest of these bounds, so it keeps only that one, and a
     side's shortfall is the sum of max(0, bound - count) over the vertices
     it binds. Each step makes the swap of a in the first set with b in the
-    second that most reduces the total shortfall, scoring every pair, the
-    lowest (a, b) on a tie. The pass stops at zero shortfall, when no swap
+    second that most reduces the total shortfall, the lowest (a, b) on a
+    tie. A swap's change is exact, so none falls below minus the total: the
+    scan stops at the first swap that clears the pair, which is the swap
+    the full scan picks. The pass stops at zero shortfall, when no swap
     reduces it, or after |A|+|B| swaps.
 
     A swap moves every other count by at most one: a fall costs one on a
@@ -328,14 +331,15 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 own[s].append((v, r, (base + max(0, gap),
                                       base + max(0, gap + 1) + (rise[s] >> v & 1))))
         best, best_pair = 0, None
-        for a, ra, ta in own[0]:
-            for b, rb, tb in own[1]:
-                ab = ra >> b & 1
-                common = ra & rb
-                delta = (ta[ab] + tb[ab] - (common & exact[0]).bit_count()
-                         - (common & exact[1]).bit_count())
-                if delta < best:
-                    best, best_pair = delta, (a, b)
+        for (a, ra, ta), (b, rb, tb) in product(*own):
+            ab = ra >> b & 1
+            common = ra & rb
+            delta = (ta[ab] + tb[ab] - (common & exact[0]).bit_count()
+                     - (common & exact[1]).bit_count())
+            if delta < best:
+                best, best_pair = delta, (a, b)
+                if best == -total:  # no swap clears more than the total
+                    break
         if best_pair is None:
             break
         a, b = best_pair

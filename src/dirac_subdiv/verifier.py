@@ -128,8 +128,9 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
 
     # (b) endpoints
     witness = None
+    k = len(cert.branch_map)
     for (i, j), p in paths:
-        if i >= len(cert.branch_map) or j >= len(cert.branch_map) or len(p) < 2:
+        if not (0 <= i < k and 0 <= j < k) or len(p) < 2:
             witness = f"edge ({i},{j}) path unusable for endpoint check"
             break
         if p[0] != cert.branch_map[i] or p[-1] != cert.branch_map[j]:

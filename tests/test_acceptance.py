@@ -116,8 +116,7 @@ def test_criterion_4_hamilton_oracle_equivalence():
         graphs_checked += 1
         for x in range(n):
             for y in range(x + 1, n):
-                got = hamilton_path_between(g, x, y, budget=6,
-                                            seed=spawn_seed(42, k, x, y))
+                got = hamilton_path_between(g, x, y)
                 want = brute_force_hamilton_path(g, x, y)
                 pair_checks += 1
                 if (got is None) != (want is None):
@@ -140,8 +139,7 @@ def test_criterion_4_hamilton_oracle_equivalence():
         for x in range(n):
             for y in range(x + 1, n):
                 ore_total += 1
-                p = hamilton_path_between(g, x, y, budget=8,
-                                          seed=spawn_seed(43, ore_graphs, x, y))
+                p = hamilton_path_between(g, x, y)
                 if p is not None and len(p) == n and is_simple_path(g, p):
                     ore_found += 1
     ok = agree and graphs_checked >= 500 and ore_graphs >= 200 \

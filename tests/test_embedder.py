@@ -151,6 +151,7 @@ class TestCheckTemplate:
         blocks[key] = tuple(v for v in blocks[key] if v != victim)
         chk = check_template(g, h, template_copy(t, blocks=blocks))
         assert not chk.ok and chk.label == "cover"
+        assert chk.witness == "missing [7] extra []"
 
     def test_cross_group_overlap(self):
         g, h, t = self.base()
@@ -160,6 +161,7 @@ class TestCheckTemplate:
         blocks[(0, 1)] = tuple(sorted(blocks[(0, 1)] + (stolen,)))
         chk = check_template(g, h, template_copy(t, blocks=blocks))
         assert not chk.ok and chk.label == "groups-disjoint"
+        assert chk.witness == "vertex 13 appears in groups 0 and 1"
 
     def test_within_group_overlap(self):
         g, h, t = self.base()
@@ -169,6 +171,19 @@ class TestCheckTemplate:
         blocks[(0, 1)] = tuple(sorted(blocks[(0, 1)] + (stolen,)))
         chk = check_template(g, h, template_copy(t, blocks=blocks))
         assert not chk.ok and chk.label == "within-group-overlap"
+        assert chk.witness == "vertex 9 lies in 2 blocks of group 0, want 1"
+
+    @pytest.mark.parametrize("twice, witness", [
+        (7, "vertex 7 lies in 2 blocks of group 0, want 1"),
+        (5, "vertex 5 lies in 3 blocks of group 0, want 2")])
+    def test_vertex_listed_twice_in_one_block(self, twice, witness):
+        # a plain vertex, and the branch vertex 5, listed twice in block
+        # (0,1): the block's vertex count is right for a set one larger
+        g, h, t = self.base()
+        blocks = dict(t.blocks)
+        blocks[(0, 1)] = tuple(sorted(blocks[(0, 1)] + (twice,)))
+        chk = check_template(g, h, template_copy(t, blocks=blocks))
+        assert (chk.ok, chk.label, chk.witness) == (False, "within-group-overlap", witness)
 
     def test_block_size_window(self):
         # move one plain vertex between the two blocks of a 2-group template
@@ -234,6 +249,7 @@ class TestCheckTemplate:
         blocks[key] = tuple(bad if v == victim else v for v in blocks[key])
         chk = check_template(g, h, template_copy(t, blocks=blocks))
         assert not chk.ok and chk.label == "cover"
+        assert chk.witness == f"missing [7] extra [{bad}]"
 
 
 class TestEmbedSubdivision:

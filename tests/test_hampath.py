@@ -19,7 +19,7 @@ def is_hamilton_xy_path(g, p, x, y):
 class TestExamples:
     def test_complete_graph(self):
         g = complete_graph(4)
-        p = hamilton_path_between(g, 0, 3, seed=1)
+        p = hamilton_path_between(g, 0, 3)
         assert is_hamilton_xy_path(g, p, 0, 3)
 
     def test_k5_minus_edge_between_its_endpoints(self):
@@ -27,13 +27,13 @@ class TestExamples:
         assert min_degree(g) == 3 >= (5 + 1) // 2
         oracle = brute_force_hamilton_path(g, 0, 1)
         assert is_hamilton_xy_path(g, oracle, 0, 1)
-        p = hamilton_path_between(g, 0, 1, seed=1)
+        p = hamilton_path_between(g, 0, 1)
         assert is_hamilton_xy_path(g, p, 0, 1)
 
     def test_path_graph_no_path(self):
         # any Hamilton 0,2-path must end at 2, but 3 hangs off 2 alone
         g = path_graph(4)
-        assert hamilton_path_between(g, 0, 2, seed=1) is None
+        assert hamilton_path_between(g, 0, 2) is None
         assert brute_force_hamilton_path(g, 0, 2) is None
 
     def test_brute_force_triangle(self):
@@ -43,13 +43,13 @@ class TestExamples:
     def test_disconnected(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert brute_force_hamilton_path(g, 0, 3) is None
-        assert hamilton_path_between(g, 0, 3, seed=1) is None
+        assert hamilton_path_between(g, 0, 3) is None
 
     def test_five_cycle_adjacent_endpoints(self):
         g = cycle_graph(5)
         # the only Hamilton 0,1-path walks the long way around
         assert brute_force_hamilton_path(g, 0, 1) == [0, 4, 3, 2, 1]
-        p = hamilton_path_between(g, 0, 1, seed=1)
+        p = hamilton_path_between(g, 0, 1)
         assert p == [0, 4, 3, 2, 1]
 
 
@@ -79,8 +79,8 @@ class TestValidation:
 
     def test_two_vertices(self):
         g = Graph(2, [(0, 1)])
-        assert hamilton_path_between(g, 0, 1, seed=0) == [0, 1]
-        assert hamilton_path_between(Graph(2), 0, 1, seed=0) is None
+        assert hamilton_path_between(g, 0, 1) == [0, 1]
+        assert hamilton_path_between(Graph(2), 0, 1) is None
 
 
 class TestOracleAgreement:
@@ -93,8 +93,7 @@ class TestOracleAgreement:
             g = random_gnp(n, p, rng)
             for x in range(n):
                 for y in range(x + 1, n):
-                    got = hamilton_path_between(g, x, y, budget=6,
-                                                seed=spawn_seed(3, k, x, y))
+                    got = hamilton_path_between(g, x, y)
                     want = brute_force_hamilton_path(g, x, y)
                     assert (got is None) == (want is None)
                     if got is not None:
@@ -114,34 +113,34 @@ class TestOracleAgreement:
             count += 1
             for x in range(n):
                 for y in range(x + 1, n):
-                    p = hamilton_path_between(g, x, y, budget=8,
-                                              seed=spawn_seed(4, count, x, y))
+                    p = hamilton_path_between(g, x, y)
                     assert is_hamilton_xy_path(g, p, x, y)
 
     def test_reversal_is_valid_path(self):
         g = complete_minus(6, {(0, 3), (1, 4)})
-        p = hamilton_path_between(g, 0, 5, seed=6)
+        p = hamilton_path_between(g, 0, 5)
         assert is_hamilton_xy_path(g, p, 0, 5)
         assert is_hamilton_xy_path(g, list(reversed(p)), 5, 0)
 
 
 class TestDeterminism:
     def test_same_seed_same_path(self):
+        # the path draws no seed, so two calls give one path
         rng = make_rng(99)
         g = random_gnp(10, 0.7, rng)
-        a = hamilton_path_between(g, 0, 9, seed=123)
-        b = hamilton_path_between(g, 0, 9, seed=123)
+        a = hamilton_path_between(g, 0, 9)
+        b = hamilton_path_between(g, 0, 9)
         assert a == b
 
     def test_stats_reporting(self):
         # K6 meets Ore's bound: the gap-closing path draws no restart
         g = complete_graph(6)
-        p, stats = hamilton_path_between(g, 0, 5, seed=1, return_stats=True)
+        p, stats = hamilton_path_between(g, 0, 5, return_stats=True)
         assert is_hamilton_xy_path(g, p, 0, 5)
         assert stats == {"restarts": 0, "exact": False}
         # C5 misses it (2 * 2 < 5 + 1), so the exact DP runs
         g = cycle_graph(5)
-        p, stats = hamilton_path_between(g, 0, 1, seed=1, return_stats=True)
+        p, stats = hamilton_path_between(g, 0, 1, return_stats=True)
         assert is_hamilton_xy_path(g, p, 0, 1)
         assert stats == {"restarts": 0, "exact": True}
 
@@ -152,8 +151,7 @@ class TestDeterminism:
         edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         edges += [(u, v) for u in range(4, 9) for v in range(u + 1, 9)]
         g = Graph(9, edges)
-        p, stats = hamilton_path_between(g, 0, 8, budget=1, seed=0,
-                                         return_stats=True)
+        p, stats = hamilton_path_between(g, 0, 8, return_stats=True)
         assert is_hamilton_xy_path(g, p, 0, 8)
         assert stats == {"restarts": 0, "exact": True}
 
@@ -170,7 +168,7 @@ class TestExactBranch:
     ])
     def test_stats_report_the_dp(self, g, x, y, found):
         assert 2 * min_degree(g) < g.n + 1
-        p, stats = hamilton_path_between(g, x, y, seed=3, return_stats=True)
+        p, stats = hamilton_path_between(g, x, y, return_stats=True)
         assert (p is not None) == found
         assert p is None or is_hamilton_xy_path(g, p, x, y)
         assert stats == {"restarts": 0, "exact": True}
@@ -218,7 +216,7 @@ class TestOrePath:
         seeds = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hampath, "spawn_seed", lambda *parts: seeds.append(parts))
-            p, stats = hamilton_path_between(g, x, y, seed=7, return_stats=True)
+            p, stats = hamilton_path_between(g, x, y, return_stats=True)
         assert is_hamilton_xy_path(g, p, x, y)
         assert stats == {"restarts": 0, "exact": False} and seeds == []
 
@@ -243,19 +241,18 @@ class TestOrePath:
                     if x == y:
                         continue
                     assert is_hamilton_xy_path(g, brute_force_hamilton_path(g, x, y), x, y)
-                    p, stats = hamilton_path_between(g, x, y, seed=1, return_stats=True)
+                    p, stats = hamilton_path_between(g, x, y, return_stats=True)
                     assert is_hamilton_xy_path(g, p, x, y)
                     assert stats["restarts"] == 0
-                    # deterministic: the seed plays no part
-                    assert hamilton_path_between(g, x, y, seed=2) == p
+                    # deterministic: a second call gives the same path
+                    assert hamilton_path_between(g, x, y) == p
 
 
-def via_induced(g, x, y, members, seed):
+def via_induced(g, x, y, members):
     """(path, stats) of the call on the induced graph, mapped back to g."""
     sub, index = induced(g, members)
     inv = sorted(index)
-    p, stats = hamilton_path_between(sub, index[x], index[y], seed=seed,
-                                     return_stats=True)
+    p, stats = hamilton_path_between(sub, index[x], index[y], return_stats=True)
     return (None if p is None else [inv[v] for v in p]), stats
 
 
@@ -272,25 +269,23 @@ class TestWithin:
         members = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
                                      max_size=n, unique=True))
         x, y = data.draw(st.permutations(members))[:2]
-        seed = data.draw(st.integers(0, 9))
         sub = induced(g, members)[0]
         ore = 2 * min_degree(sub) >= sub.n + 1
         if not ore and sub.n > hampath.EXACT_THRESHOLD:
             with pytest.raises(ValueError):
-                via_induced(g, x, y, members, seed)
+                via_induced(g, x, y, members)
             with pytest.raises(ValueError):
-                hamilton_path_between(g, x, y, seed=seed, within=members)
+                hamilton_path_between(g, x, y, within=members)
             return
         # the exact DP's work more than doubles with each vertex: two runs
         # per example on a 15-20 vertex set would take seconds
         assume(ore or sub.n < 15)
-        want = via_induced(g, x, y, members, seed)
+        want = via_induced(g, x, y, members)
         builds = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hampath, "induced",
                        lambda *a: builds.append(a) or induced(*a))
-            got = hamilton_path_between(g, x, y, seed=seed, return_stats=True,
-                                        within=members)
+            got = hamilton_path_between(g, x, y, return_stats=True, within=members)
         assert got == want
         assert (builds == []) == ore
 
@@ -299,9 +294,8 @@ class TestWithin:
         cyc = [2, 5, 7, 11, 13]
         g = Graph(16, [(cyc[k], cyc[(k + 1) % 5]) for k in range(5)]
                   + [(0, 1), (1, 3), (5, 9), (9, 12), (13, 15)])
-        got = hamilton_path_between(g, 2, 5, seed=1, return_stats=True,
-                                    within=cyc)
-        assert got == via_induced(g, 2, 5, cyc, 1)
+        got = hamilton_path_between(g, 2, 5, return_stats=True, within=cyc)
+        assert got == via_induced(g, 2, 5, cyc)
         assert got == ([2, 13, 11, 7, 5], {"restarts": 0, "exact": True})
 
     def test_ore_block_in_a_sparse_host(self):
@@ -310,7 +304,7 @@ class TestWithin:
         g = Graph(20, [(u, v) for u in block for v in block if u < v]
                   + [(0, 3), (4, 19), (8, 10), (15, 16)])
         got = hamilton_path_between(g, 9, 4, return_stats=True, within=block)
-        assert got == via_induced(g, 9, 4, block, 0)
+        assert got == via_induced(g, 9, 4, block)
         assert got == ([9, 3, 8, 14, 15, 4], {"restarts": 0, "exact": False})
 
     @pytest.mark.parametrize("x,y,members", [

@@ -647,3 +647,118 @@ class TestSwapRepair:
             assert err.level == 1
             draws = err.attempts
         assert repairs and tags == [0x0B] * draws
+
+
+def full_scan_repair(rows, sides, scores=None):
+    """partition._swap_repair as it was before its scan stopped early: every
+    step scores all |A|*|B| swaps. With a list `scores`, each step appends
+    (total, [(a, b, delta), ...]) of its candidates in scan order."""
+    pool = sides[0][1] + sides[1][1]
+    bound = ({}, {})
+    for (demands, _), t in zip(sides, bound):
+        for *_, W, extra, need in demands:
+            k = math.ceil(need)
+            for v in W or pool:
+                b = k - (rows[v] & extra).bit_count()
+                if v not in t or b > t[v]:
+                    t[v] = b
+    fixed = [t.keys() - set(pool) for t in bound]
+    tracked = bound[0].keys() | bound[1].keys()
+    members = [sorted(sides[0][1]), sorted(sides[1][1])]
+    counts = [{v: (rows[v] & m).bit_count() for v in tracked}
+              for m in (mask_of(members[0]), mask_of(members[1]))]
+
+    for _ in range(len(pool)):
+        rise, exact, total = [0, 0], [0, 0], 0
+        for s in (0, 1):
+            for v in (*members[s], *fixed[s]):
+                gap = bound[s][v] - counts[s][v]
+                if gap > 0:
+                    total += gap
+                    rise[s] |= 1 << v
+                elif gap == 0:
+                    exact[s] |= 1 << v
+        if total == 0:
+            break
+        fall = [rise[0] | exact[0], rise[1] | exact[1]]
+        own = ([], [])
+        for s in (0, 1):
+            o = 1 - s
+            for v in members[s]:
+                r, gap = rows[v], bound[o][v] - counts[o][v]
+                base = ((r & fall[s]).bit_count() - (r & rise[o]).bit_count()
+                        - max(0, bound[s][v] - counts[s][v]))
+                own[s].append((v, r, (base + max(0, gap),
+                                      base + max(0, gap + 1) + (rise[s] >> v & 1))))
+        best, best_pair, step = 0, None, []
+        for a, ra, ta in own[0]:
+            for b, rb, tb in own[1]:
+                ab = ra >> b & 1
+                common = ra & rb
+                delta = (ta[ab] + tb[ab] - (common & exact[0]).bit_count()
+                         - (common & exact[1]).bit_count())
+                step.append((a, b, delta))
+                if delta < best:
+                    best, best_pair = delta, (a, b)
+        if scores is not None:
+            scores.append((total, step))
+        if best_pair is None:
+            break
+        a, b = best_pair
+        members = [sorted({*members[0], b} - {a}), sorted({*members[1], a} - {b})]
+        if total + best == 0:
+            break
+        ra, rb = rows[a], rows[b]
+        for v in tracked:
+            change = (rb >> v & 1) - (ra >> v & 1)
+            counts[0][v] += change
+            counts[1][v] -= change
+    return tuple(members[0]), tuple(members[1])
+
+
+def failing_block_pairs(seeds, tau=0.4375, C=12):
+    """(g, connectors, (i, A), (j, B)) for every block i that misses in one
+    random group draw of G(48, 0.75), center 0 and connectors 1-4, paired
+    with each other block j, as block_partition hands them to the repair."""
+    connectors = [1, 2, 3, 4]
+    for seed in seeds:
+        rng = random.Random(seed)
+        g = random_gnp(48, 0.75, rng)
+        pool = list(range(5, 48))
+        rng.shuffle(pool)
+        ends = [0, 11, 22, 33, 43]
+        blocks = [tuple(sorted(pool[a:b])) for a, b in zip(ends, ends[1:])]
+        for i in range(4):
+            if reference_block_violation(g, 0, connectors, [(i, blocks[i])], tau, C):
+                for j in range(4):
+                    if j != i:
+                        yield g, connectors, (i, blocks[i]), (j, blocks[j])
+
+
+class TestSwapRepairEarlyExit:
+    def test_first_step_deltas_are_exact(self):
+        # every candidate's delta is the recounted change of the total
+        # shortfall, so none can beat -total and the first swap that
+        # reaches it is the one the full scan keeps
+        checked = 0
+        for g, connectors, A, B in failing_block_pairs(range(6)):
+            scores = []
+            full_scan_repair(g.rows, block_sides(0, connectors, [A, B], 0.4375, 12), scores)
+            total, step = scores[0]
+            assert total == pair_shortfall(g, 0, connectors, [A, B], 0.4375, 12) > 0
+            for a, b, delta in step:
+                swapped = [(A[0], set(A[1]) - {a} | {b}), (B[0], set(B[1]) - {b} | {a})]
+                assert pair_shortfall(g, 0, connectors, swapped, 0.4375, 12) == total + delta
+                checked += 1
+        assert checked > 1000
+
+    def test_early_exit_returns_the_full_scan_pair(self):
+        cut_short = 0
+        for g, connectors, A, B in failing_block_pairs(range(20)):
+            sides = block_sides(0, connectors, [A, B], 0.4375, 12)
+            scores = []
+            assert partition._swap_repair(g.rows, sides) == full_scan_repair(g.rows, sides, scores)
+            # the early exit is taken before the last candidate of a step
+            cut_short += any(delta == -total for total, step in scores
+                             for *_, delta in step[:-1])
+        assert cut_short >= 10

@@ -92,6 +92,17 @@ class TestShapeCheck:
         failed = verify_certificate(host, pattern, broken).failed()
         assert "shape" in failed and "edges-exist" in failed
 
+    @pytest.mark.parametrize("key", [(0, -1), (-2, 1)])
+    def test_negative_pattern_index_fails_endpoints(self, key):
+        # a negative index must not wrap round the branch map (0, 5), where
+        # [-1] is [1] and [-2] is [0], so the path 0..5 would pass
+        h = complete_graph(2)
+        cert = SubdivisionCertificate(6, h, (0, 5), {key: (0, 1, 2, 3, 4, 5)})
+        rep = verify_certificate(complete_graph(6), h, cert)
+        witness = f"edge ({key[0]},{key[1]}) path unusable for endpoint check"
+        assert ("endpoints", False, witness) in rep.checks
+        assert "shape" in rep.failed()
+
     def test_problems_reported_never_raised(self):
         host, pattern, cert = valid_base_certificate()
         garbage = SubdivisionCertificate(5, path_graph(2), (42,),
