@@ -112,7 +112,8 @@ def _cmd_verify(args) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid experiment: every combination of the listed values is one cell."""
+    """Grid experiment: every combination of the listed values is one cell,
+    which must pass HostSpec and check_blowup; a ValueError names the cell."""
 
     kinds: tuple[str, ...]
     ns: tuple[int, ...]
@@ -133,13 +134,11 @@ class SweepSpec:
             if k not in HOST_KINDS:
                 raise ValueError(f"unknown host kind {k!r}")
         for _, (_, n, d, C, eps) in self.cells():
-            if n < 2 or not (1 <= d < n):
-                raise ValueError(f"cell (n={n}, d={d}) outside generator domain")
-            if (n * d) % 2 != 0:
-                raise ValueError(f"cell (n={n}, d={d}): n*d must be even")
-            if not (0.0 < eps < 1.0):
-                raise ValueError(f"cell epsilon={eps}: need 0 < epsilon < 1")
-            check_blowup(C, *stage_thresholds(eps)[1])
+            try:
+                HostSpec(n, d, C, eps)
+                check_blowup(C, *stage_thresholds(eps)[1])
+            except ValueError as e:
+                raise ValueError(f"cell (n={n}, d={d}, C={C}, epsilon={eps}): {e}") from None
 
     def cells(self):
         """Number the cells, kinds outermost: the index seeds the trials."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .certificate import SubdivisionCertificate
 from .errors import PartitionError
-from .generators import dirac_degree_bound
+from .generators import check_pattern_dimensions, dirac_degree_bound
 # induced is unused here; perfbench/spans.py traces it as embedder.induced
 from .graph import Graph, induced, mask_of, min_degree, regular_degree
 from .partition import block_partition, check_blowup, good_partition
@@ -67,13 +67,13 @@ class Template:
     edge ij there are connectors[(i,j)] in group i and connectors[(j,i)] in
     group j joined by a host edge, and blocks[(i,j)] contains branch[i],
     connectors[(i,j)], and the private vertices the edge path will consume
-    on i's side. Blocks of one group share exactly the branch vertex.
+    on i's side. Blocks of one group share exactly the branch vertex;
+    check_template derives their size window from the host order.
     """
 
     branch: tuple[int, ...]
     connectors: dict[tuple[int, int], int]
     blocks: dict[tuple[int, int], tuple[int, ...]]
-    size_window: tuple[int, int]
 
 
 @dataclass
@@ -129,12 +129,11 @@ def stage_thresholds(epsilon: float):
 
 
 def resolve_dimensions(g: Graph, h: Graph, cfg: EmbedConfig):
-    """Derive (n, d, C) from the pattern and the host order; C must be
-    feasible for the block stage at cfg.epsilon (check_blowup)."""
+    """Derive (n, d, C) from the pattern and the host order, checked by
+    check_pattern_dimensions and, at cfg.epsilon, check_blowup."""
     n = h.n
     d = regular_degree(h)
-    if n < 2 or d < 1:
-        raise ValueError("pattern must be d-regular with d >= 1 on n >= 2 vertices")
+    check_pattern_dimensions(n, d)
     C = g.n // (d * n)
     if cfg.C is not None and cfg.C != C:
         raise ValueError(
@@ -214,7 +213,7 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     counts["good_partition"] and every block-partition group draw to
     counts["block_levels"] as it happens, so the tally survives a raise.
     """
-    n, d, C = resolve_dimensions(g, h, cfg)
+    n, _, _ = resolve_dimensions(g, h, cfg)
     if seed is None:
         seed = cfg.seed
     if counts is None:
@@ -240,8 +239,7 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
             blocks[(i, j)] = tuple(sorted(
                 bp.blocks[k] + (branch[i], connectors[(i, j)])))
 
-    window = (C, C + 1) if g.n == C * d * n else (C, C + 2)
-    template = Template(branch, connectors, blocks, window)
+    template = Template(branch, connectors, blocks)
     check = check_template(g, h, template)
     assert check.ok, f"template self-check failed: {check.label}: {check.witness}"
     return template
@@ -253,9 +251,9 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
     Checked in order: structural consistency (distinct branch/connector
     vertices sitting in their blocks, one block per pattern edge end), host
     cover, disjointness across groups, the within-group rule that blocks of
-    one group pairwise share exactly the branch vertex, block sizes inside
-    the window, the Hamiltonian-connectivity degree bound
-    min degree >= (|block|+1)/2 in every block, and connector edges.
+    one group pairwise share exactly the branch vertex, block sizes in
+    [C, C+1] for C = N // #blocks, [C, C+2] if #blocks does not divide N,
+    Ore's bound min degree >= (|block|+1)/2 in every block, and connector edges.
     """
     n = h.n
     expected = {(i, j) for i in range(n) for j in h.neighbors(i)}
@@ -312,12 +310,13 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
                                  f"vertex {v} lies in {counts[v]} blocks of group {i}, "
                                  f"want {d if v == branch else 1}")
 
-    lo, hi = t.size_window
-    for key in sorted(expected):
-        size = len(t.blocks[key])
-        if not (lo <= size <= hi):
-            return TemplateCheck(False, "block-size",
-                                 f"block {key} has size {size}, window [{lo},{hi}]")
+    if expected:  # one block per pattern edge end, so C = N // (d*n)
+        lo, hi = g.n // len(expected), -(-g.n // len(expected)) + 1  # ceil(N/(d*n)) + 1
+        for key in sorted(expected):
+            size = len(t.blocks[key])
+            if not (lo <= size <= hi):
+                return TemplateCheck(False, "block-size",
+                                     f"block {key} has size {size}, window [{lo},{hi}]")
 
     rows = g.rows  # the cover check above put every block id in range
     for key in sorted(expected):

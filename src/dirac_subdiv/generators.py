@@ -22,11 +22,13 @@ SWITCH_BUDGET = 64  # batches of n*d/2 repair proposals before GenerationError
 
 
 def check_pattern_dimensions(n: int, d: int) -> None:
-    """Raise ValueError unless n >= 2 and 1 <= d < n, the patterns embed takes."""
+    """Raise ValueError unless n >= 2, 1 <= d < n and n*d is even, the patterns embed takes."""
     if n < 2:
         raise ValueError("pattern vertex count n must be >= 2")
     if not (1 <= d < n):
         raise ValueError("pattern regularity d must satisfy 1 <= d < n")
+    if (n * d) % 2 != 0:
+        raise ValueError("n*d must be even for a d-regular graph to exist")
 
 
 @dataclass(frozen=True)

@@ -266,7 +266,7 @@ def _block_demands(i: int, size: int, center: int, connector: int,
             *(("block-ore-degree", i, W, extra, ore) for W in (None, (center, connector)))]
 
 
-def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Steepest-descent swaps between two blocks of one group, given as the
     (demand rows, set) sides _worst_violation checks; no randomness.
 
@@ -280,8 +280,8 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
     second that most reduces the total shortfall, the lowest (a, b) on a
     tie. A swap's change is exact, so none falls below minus the total: the
     scan stops at the first swap that clears the pair, which is the swap
-    the full scan picks. The pass stops at zero shortfall, when no swap
-    reduces it, or after |A|+|B| swaps.
+    the full scan picks. The pass returns the pair at zero shortfall (both
+    sets pass), and None when no swap reduces it or after |A|+|B| swaps.
 
     A swap moves every other count by at most one: a fall costs one on a
     vertex at or below its bound, a rise saves one below it. So a swap's
@@ -315,7 +315,7 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 elif gap == 0:
                     exact[s] |= 1 << v
         if total == 0:
-            break
+            return tuple(members[0]), tuple(members[1])
         fall = [rise[0] | exact[0], rise[1] | exact[1]]
         # own[s]: (v, row, t) per vertex v of side s, where t[j] is the change
         # of a swap that moves v off side s, less the common-neighbour term;
@@ -341,17 +341,17 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 if best == -total:  # no swap clears more than the total
                     break
         if best_pair is None:
-            break
+            return None
         a, b = best_pair
         members = [sorted({*members[0], b} - {a}), sorted({*members[1], a} - {b})]
         if total + best == 0:
-            break
+            return tuple(members[0]), tuple(members[1])
         ra, rb = rows[a], rows[b]
         for v in tracked:
             change = (rb >> v & 1) - (ra >> v & 1)
             counts[0][v] += change
             counts[1][v] -= change
-    return tuple(members[0]), tuple(members[1])
+    return None
 
 
 def check_blowup(C: int, alpha: float, delta: float) -> None:
@@ -389,9 +389,9 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
 
     Each block of a draw is checked once, in index order. A failing block
     is passed to _swap_repair with each other block in index order,
-    deterministically and without drawing a seed, and the first pair after
-    which both pass is kept; a failing block that no partner repairs ends
-    the draw. A draw that passes is used untouched. A missed draw is
+    deterministically and without drawing a seed, and the first pair it
+    returns, which passes, is kept; a failing block that no partner repairs
+    ends the draw. A draw that passes is used untouched. A missed draw is
     replaced by a fresh one, up to level_budget draws, or one draw for
     d = 1, whose single block has only one possible draw; exhaustion raises
     PartitionError at level 1 with the worst miss of the block that ended
@@ -434,8 +434,8 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
         # a group draw is level 1, in its seed path as in PartitionError
         perm = make_rng(spawn_seed(seed, 0x0B, 1, attempt)).permutation(len(pool)).tolist()
         blocks = [tuple(sorted(pool[i] for i in perm[a:b])) for a, b in zip(ends, ends[1:])]
-        # a failing block i is repaired with the first partner j after which
-        # both pass; a swap moves no other block, so blocks before i still pass
+        # a failing block i takes the first repaired pair with a partner j; a
+        # swap moves no other block, so blocks before i still pass
         for i in range(d):
             viol = _worst_violation(rows, [(demands[i], blocks[i])])[0]
             if viol is None:
@@ -443,8 +443,7 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
             for j in range(d):
                 if j != i:
                     pair = _swap_repair(rows, [(demands[i], blocks[i]), (demands[j], blocks[j])])
-                    if _worst_violation(rows, [(demands[i], pair[0]),
-                                               (demands[j], pair[1])])[0] is None:
+                    if pair is not None:
                         blocks[i], blocks[j] = pair
                         break
             else:

@@ -62,10 +62,10 @@ class VerifyReport:
 def path_length_stats(cert: SubdivisionCertificate) -> PathLengthStats:
     """Edge-length statistics of the certificate's paths.
 
-    A path on k vertices has k-1 edges. Returns the empty-stats record for
-    a certificate without paths.
+    A path on k >= 1 vertices has k-1 edges, and an empty path 0. Returns
+    the empty-stats record for a certificate without paths.
     """
-    lengths = sorted(len(p) - 1 for p in cert.edge_paths.values())
+    lengths = sorted(max(len(p) - 1, 0) for p in cert.edge_paths.values())
     if not lengths:
         return PathLengthStats(0, None, None, None, {})
     multiset: dict[int, int] = {}

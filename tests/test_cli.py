@@ -89,7 +89,9 @@ class TestGen:
          "pattern vertex count n must be >= 2"),
         (["--kind", "dirac", "--n", "4", "--d", "0", "--C", "12", "--epsilon", "0.25"],
          "pattern regularity d must satisfy 1 <= d < n"),
-    ], ids=["regular-d0", "regular-n1", "dirac-d0"])
+        (["--kind", "dirac", "--n", "5", "--d", "3", "--C", "12", "--epsilon", "0.25"],
+         "n*d must be even for a d-regular graph to exist"),
+    ], ids=["regular-d0", "regular-n1", "dirac-d0", "dirac-odd"])
     def test_pattern_outside_embed_domain_usage_error(self, capsys, argv, message):
         # gen writes no pattern that embed would reject, and warns about none
         assert main(["gen", *argv]) == 2
@@ -168,7 +170,7 @@ class TestEmbedVerify:
                    "--epsilon", "0.3", "--C", "6"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "error: pattern must be d-regular with d >= 1" in err
+        assert "error: pattern regularity d must satisfy 1 <= d < n" in err
         assert "warning" not in err
 
     def test_embed_failure_exits_one(self, tmp_path, capsys):
@@ -440,12 +442,15 @@ class TestSweep:
         assert "mean_wall_ms" in run_sweep(spec).csv_text
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
+        # every cell error names the cell
+        with pytest.raises(ValueError, match=re.escape(
+                "cell (n=3, d=3, C=6, epsilon=0.3): pattern regularity d must satisfy 1 <= d < n")):
             SweepSpec(kinds=("complete",), ns=(3,), ds=(3,), Cs=(6,),
-                      epsilons=(0.3,), trials=1)  # d >= n
-        with pytest.raises(ValueError):
+                      epsilons=(0.3,), trials=1)
+        with pytest.raises(ValueError, match=re.escape(
+                "cell (n=5, d=3, C=6, epsilon=0.3): n*d must be even for a d-regular graph to exist")):
             SweepSpec(kinds=("complete",), ns=(5,), ds=(3,), Cs=(6,),
-                      epsilons=(0.3,), trials=1)  # odd n*d
+                      epsilons=(0.3,), trials=1)
         with pytest.raises(ValueError):
             SweepSpec(kinds=("weird",), ns=(3,), ds=(2,), Cs=(6,),
                       epsilons=(0.3,), trials=1)
@@ -458,7 +463,8 @@ class TestSweep:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(6,),
                       epsilons=(0.3,), trials=0)
-        with pytest.raises(ValueError, match=r"cell epsilon=1.0: need 0 < epsilon < 1"):
+        with pytest.raises(ValueError, match=re.escape(
+                "cell (n=3, d=2, C=6, epsilon=1.0): epsilon must lie in (0, 1)")):
             SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(6,),
                       epsilons=(0.3, 1.0), trials=1)
         # a grid with an empty axis has no cells: a usage error, not an empty CSV

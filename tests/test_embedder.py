@@ -25,8 +25,7 @@ def template_copy(t, branch=None, connectors=None, blocks=None):
     return Template(
         branch=branch if branch is not None else t.branch,
         connectors=dict(connectors if connectors is not None else t.connectors),
-        blocks=dict(blocks if blocks is not None else t.blocks),
-        size_window=t.size_window)
+        blocks=dict(blocks if blocks is not None else t.blocks))
 
 
 def multipartite_at_bound(N, eps, seed=0):
@@ -71,9 +70,8 @@ class TestBuildTemplate:
         h = complete_graph(4)
         t = build_template(host, h, EmbedConfig(epsilon=0.2, C=12, seed=13))
         assert check_template(host, h, t).ok
-        # every block size inside the advertised window
-        lo, hi = t.size_window
-        assert all(lo <= len(b) <= hi for b in t.blocks.values())
+        # N = 144 = C*d*n, so every block has size C or C+1
+        assert all(12 <= len(b) <= 13 for b in t.blocks.values())
 
     def test_group_accounting_identity(self):
         host = complete_graph(144)
@@ -96,7 +94,7 @@ class TestBuildTemplate:
             build_template(g, path_graph(3), EmbedConfig(epsilon=0.3, seed=0))
 
     def test_edgeless_pattern_rejected(self):
-        with pytest.raises(ValueError, match="d >= 1"):
+        with pytest.raises(ValueError, match="pattern regularity d must satisfy 1 <= d < n"):
             build_template(complete_graph(24), Graph(4), EmbedConfig(epsilon=0.3, seed=0))
 
     @pytest.mark.parametrize("knobs, message", [
@@ -185,19 +183,27 @@ class TestCheckTemplate:
         chk = check_template(g, h, template_copy(t, blocks=blocks))
         assert (chk.ok, chk.label, chk.witness) == (False, "within-group-overlap", witness)
 
-    def test_block_size_window(self):
-        # move one plain vertex between the two blocks of a 2-group template
-        g = complete_graph(16)
-        h = complete_graph(2)
-        t = build_template(g, h, EmbedConfig(epsilon=0.3, C=8, seed=1))
-        a, b = (0, 1), (1, 0)
+    @pytest.mark.parametrize("N, n, C, a, b, witness", [
+        (16, 2, 8, (0, 1), (1, 0), "block (0, 1) has size 7, window [8,9]"),
+        (40, 3, 6, (0, 2), (0, 1), "block (0, 1) has size 9, window [6,8]")],
+        ids=["divisible", "non-divisible"])
+    def test_block_size_outside_window(self, N, n, C, a, b, witness):
+        # move one plain vertex from block a to block b: K2 on K16 has the
+        # window [C, C+1]; K3 on K40 has d*n = 6 not dividing N, so [C, C+2]
+        g = complete_graph(N)
+        h = complete_graph(n)
+        t = build_template(g, h, EmbedConfig(epsilon=0.3, C=C, seed=1))
         mover = next(v for v in t.blocks[a]
-                     if v not in (t.branch[0], t.connectors[a]))
+                     if v not in (t.branch[a[0]], t.connectors[a]))
         blocks = dict(t.blocks)
         blocks[a] = tuple(v for v in blocks[a] if v != mover)
         blocks[b] = tuple(sorted(blocks[b] + (mover,)))
         chk = check_template(g, h, template_copy(t, blocks=blocks))
-        assert not chk.ok and chk.label == "block-size"
+        assert (chk.ok, chk.label, chk.witness) == (False, "block-size", witness)
+
+    def test_empty_template_passes(self):
+        # no block to size, so no window to derive
+        assert check_template(Graph(0), Graph(0), Template((), {}, {})).ok
 
     def test_block_min_degree(self):
         # hand-built: vertex 0 keeps only one neighbor inside its block
@@ -205,8 +211,7 @@ class TestCheckTemplate:
         h = complete_graph(2)
         t = Template(branch=(3, 7),
                      connectors={(0, 1): 2, (1, 0): 6},
-                     blocks={(0, 1): (0, 1, 2, 3), (1, 0): (4, 5, 6, 7)},
-                     size_window=(4, 5))
+                     blocks={(0, 1): (0, 1, 2, 3), (1, 0): (4, 5, 6, 7)})
         chk = check_template(g, h, t)
         assert not chk.ok and chk.label == "block-min-degree"
 
@@ -215,8 +220,7 @@ class TestCheckTemplate:
         h = complete_graph(2)
         t = Template(branch=(3, 7),
                      connectors={(0, 1): 2, (1, 0): 6},
-                     blocks={(0, 1): (0, 1, 2, 3), (1, 0): (4, 5, 6, 7)},
-                     size_window=(4, 5))
+                     blocks={(0, 1): (0, 1, 2, 3), (1, 0): (4, 5, 6, 7)})
         chk = check_template(g, h, t)
         assert not chk.ok and chk.label == "connector-edge"
 
@@ -615,8 +619,7 @@ class TestSwapRepair:
 
         def spy(rows, sides):
             out = real(rows, sides)
-            if partition._worst_violation(
-                    rows, [(t, vs) for (t, _), vs in zip(sides, out)])[0] is None:
+            if out is not None:  # None is no repair; a returned pair passes
                 accepted.append({t[0][1] for t, _ in sides})
             return out
 
@@ -649,7 +652,7 @@ class TestSwapRepair:
 
         def spy(rows, sides):
             out = real(rows, sides)
-            changed.append(out != tuple(vs for _, vs in sides))
+            changed.append(out is not None and out != tuple(vs for _, vs in sides))
             return out
 
         monkeypatch.setattr(partition, "_swap_repair", spy)

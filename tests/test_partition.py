@@ -534,16 +534,24 @@ def pair_sets(entries):
     return tuple(vs for _, vs in entries)
 
 
+def judged(rows, sides, pair):
+    """pair when both of its sets pass their sides' rows, else None: what
+    _swap_repair returns for the pair its swaps end with."""
+    checked = [(demands, vs) for (demands, _), vs in zip(sides, pair)]
+    return pair if partition._worst_violation(rows, checked)[0] is None else None
+
+
 class TestSwapRepair:
     def test_matches_exhaustive_rescoring(self):
         # the incremental scores pick the same swaps as recounting every
         # candidate from scratch, so the bookkeeping is exact: on block
         # pairs in index order and against it, as the group repair pairs a
-        # failing block with any other block of its group
+        # failing block with any other block of its group; the kernel
+        # returns the final pair exactly when both blocks pass
         d = 4
         for pair in [(0, 1), (1, 0), (3, 2)]:
             rng = random.Random(5)
-            moved = 0
+            moved = repaired = 0
             for _ in range(40):
                 n = rng.randint(16 + d, 28 + d)
                 g = random_gnp(n, rng.uniform(0.5, 0.85), rng)
@@ -553,13 +561,15 @@ class TestSwapRepair:
                 entries = [(pair[0], tuple(sorted(rest[:k]))),
                            (pair[1], tuple(sorted(rest[k:])))]
                 tau, C = rng.uniform(0.35, 0.6), k + 1
-                got = partition._swap_repair(
-                    g.rows, block_sides(center, connectors, entries, tau, C))
-                assert got == exhaustive_repair(g, center, connectors, entries, tau, C)
-                assert sorted(got[0] + got[1]) == sorted(rest)
-                assert [len(b) for b in got] == [len(vs) for _, vs in entries]
-                moved += got != pair_sets(entries)
-            assert moved >= 10
+                sides = block_sides(center, connectors, entries, tau, C)
+                want = exhaustive_repair(g, center, connectors, entries, tau, C)
+                got = partition._swap_repair(g.rows, sides)
+                assert got == judged(g.rows, sides, want)
+                assert sorted(want[0] + want[1]) == sorted(rest)
+                assert [len(b) for b in want] == [len(vs) for _, vs in entries]
+                moved += want != pair_sets(entries)
+                repaired += got is not None
+            assert moved >= 10 and 0 < repaired < 40
 
     def test_repaired_level_passes_the_block_checks(self, monkeypatch):
         # G(48, 0.75) groups at tau = 7/16: the first group draw misses
@@ -569,8 +579,8 @@ class TestSwapRepair:
         changed = []
 
         def spy(*args):
-            out = real(*args)
-            changed.append(out != pair_sets(args[1]))
+            out = real(*args)  # None is no repair
+            changed.append(out is not None and out != pair_sets(args[1]))
             return out
 
         monkeypatch.setattr(partition, "_swap_repair", spy)
@@ -612,8 +622,7 @@ class TestSwapRepair:
             calls.clear()
             monkeypatch.setattr(partition, "_swap_repair", spy)
             bp = outcome(g, seed)
-            monkeypatch.setattr(partition, "_swap_repair",
-                                lambda rows, sides: pair_sets(sides))
+            monkeypatch.setattr(partition, "_swap_repair", lambda rows, sides: None)
             drawn = outcome(g, seed)
             if not calls:
                 untouched += 1
@@ -753,12 +762,16 @@ class TestSwapRepairEarlyExit:
         assert checked > 1000
 
     def test_early_exit_returns_the_full_scan_pair(self):
-        cut_short = 0
+        # the kernel returns the full scan's final pair when it passes both
+        # blocks, and None when it does not
+        cut_short = unrepaired = 0
         for g, connectors, A, B in failing_block_pairs(range(20)):
             sides = block_sides(0, connectors, [A, B], 0.4375, 12)
             scores = []
-            assert partition._swap_repair(g.rows, sides) == full_scan_repair(g.rows, sides, scores)
+            want = judged(g.rows, sides, full_scan_repair(g.rows, sides, scores))
+            assert partition._swap_repair(g.rows, sides) == want
+            unrepaired += want is None
             # the early exit is taken before the last candidate of a step
             cut_short += any(delta == -total for total, step in scores
                              for *_, delta in step[:-1])
-        assert cut_short >= 10
+        assert cut_short >= 10 and unrepaired > 0

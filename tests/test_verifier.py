@@ -132,6 +132,14 @@ class TestPathLengthStats:
         st = path_length_stats(cert)
         assert st.min == st.max == 3 and st.count == 1
 
+    def test_empty_path_counts_zero_edges(self):
+        # a rejected certificate may list a path without vertices; its
+        # stats are still printed, so no length may read negative
+        cert = self.make_cert([(), (0, 1, 2)])
+        st = path_length_stats(cert)
+        assert (st.min, st.max, st.mean) == (0, 2, 1.0)
+        assert st.multiset == {0: 1, 2: 1}
+
     def test_empty_certificate(self):
         cert = SubdivisionCertificate(0, Graph(1), (0,), {})
         st = path_length_stats(cert)
