@@ -26,6 +26,9 @@ from .rng import spawn_seed
 from .verifier import verify_certificate
 
 HOST_KINDS = ("dirac", "complete", "two-clique")
+# gen's kinds and the options each one needs
+GEN_NEEDS = {"dirac": ("n", "d", "C", "epsilon"), "regular": ("n", "d"),
+             "complete": ("n",), "two-clique": ("n",)}
 
 
 def _warn_small_d(n: int, d: int) -> None:
@@ -36,37 +39,28 @@ def _warn_small_d(n: int, d: int) -> None:
 
 def _cmd_gen(args) -> int:
     kind = args.kind
+    if any(getattr(args, name) is None for name in GEN_NEEDS[kind]):
+        print(f"gen --kind {kind} requires --{' --'.join(GEN_NEEDS[kind])}", file=sys.stderr)
+        return 2
     if kind == "complete":
-        if args.n is None:
-            print("gen --kind complete requires --n", file=sys.stderr)
-            return 2
         g = complete_graph(args.n)
     elif kind == "two-clique":
-        if args.n is None:
-            print("gen --kind two-clique requires --n (the clique size)",
-                  file=sys.stderr)
-            return 2
         g = gen_two_clique_extremal(args.n)
     elif kind == "regular":
-        if args.n is None or args.d is None:
-            print("gen --kind regular requires --n and --d", file=sys.stderr)
-            return 2
         check_pattern_dimensions(args.n, args.d)
         _warn_small_d(args.n, args.d)
         g = gen_random_regular(args.n, args.d, args.seed)
     else:  # dirac
-        if None in (args.n, args.d, args.C, args.epsilon):
-            print("gen --kind dirac requires --n --d --C --epsilon",
-                  file=sys.stderr)
-            return 2
         spec = HostSpec(args.n, args.d, args.C, args.epsilon, args.seed)
         _warn_small_d(args.n, args.d)
         g = gen_dirac_host(spec)
     if args.out:
         write_edge_list(g, args.out)
-    else:  # as bytes, so the "\n" line ends hold on every platform
+    elif hasattr(sys.stdout, "buffer"):  # bytes, so "\n" ends hold on every platform
         sys.stdout.flush()
         sys.stdout.buffer.writelines(_edge_list_blocks(g))
+    else:  # a text-only stream, such as io.StringIO
+        sys.stdout.writelines(block.decode("ascii") for block in _edge_list_blocks(g))
     if args.dot:
         with open(args.dot, "w", encoding="ascii") as fh:
             fh.write(to_dot(g))
@@ -101,9 +95,7 @@ def _cmd_verify(args) -> int:
                                 require_spanning=args.spanning)
     print(report.summary())
     if not report.length_stats.empty:
-        st = report.length_stats
-        print(f"path edge-lengths: min={st.min} max={st.max} "
-              f"mean={st.mean:.3f} multiset={st.multiset}")
+        print(f"path edge-lengths: {report.length_stats}")
     return 0 if report.ok else 1
 
 
@@ -265,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate instance graphs")
-    p.add_argument("--kind", required=True,
-                   choices=["dirac", "regular", "complete", "two-clique"])
-    p.add_argument("--n", type=int)
+    p.add_argument("--kind", required=True, choices=GEN_NEEDS)
+    p.add_argument("--n", type=int, help="vertex count; the clique size for two-clique")
     p.add_argument("--d", type=int)
     p.add_argument("--C", type=int)
     p.add_argument("--epsilon", type=float)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certificate import SubdivisionCertificate
 from .errors import PartitionError
@@ -113,10 +113,7 @@ class EmbedReport:
         if self.detail:
             lines.append(f"  detail: {self.detail}")
         if self.length_stats and not self.length_stats.empty:
-            st = self.length_stats
-            lines.append(
-                f"  path edge-lengths: min={st.min} max={st.max} "
-                f"mean={st.mean:.2f} multiset={st.multiset}")
+            lines.append(f"  path edge-lengths: {self.length_stats}")
         return "\n".join(lines)
 
 
@@ -192,9 +189,9 @@ def _counted(counts: dict[str, int], key: str, stage, *args, **kwargs):
 
 
 def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
-                   seed: int | None = None,
                    counts: dict[str, int] | None = None) -> Template:
-    """Construct and self-check a template.
+    """Construct and self-check a template from its one seed, cfg.seed, which
+    embed_subdivision sets to spawn_seed(cfg.seed, 0x01, k) in master attempt k.
 
     Stage thresholds follow the proof chain: the whole-host partition is
     checked at (1+eps)/2 minus eps/2, and the per-group block partitions at
@@ -214,14 +211,12 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     counts["block_levels"] as it happens, so the tally survives a raise.
     """
     n, _, _ = resolve_dimensions(g, h, cfg)
-    if seed is None:
-        seed = cfg.seed
     if counts is None:
         counts = {"good_partition": 0, "block_levels": 0}
 
     (alpha1, delta1), (alpha2, delta2) = stage_thresholds(cfg.epsilon)
     gp = _counted(counts, "good_partition", good_partition,
-                  g, h, alpha1, delta1, seed=spawn_seed(seed, 0x21))
+                  g, h, alpha1, delta1, seed=spawn_seed(cfg.seed, 0x21))
 
     branch, connectors = _select_connectors_and_branch(g, h, gp.parts)
 
@@ -233,7 +228,7 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
             counts, "block_levels", block_partition,
             g, gp.parts[i], branch[i], conns,
             alpha=alpha2, delta=delta2,
-            seed=spawn_seed(seed, 0x22, i),
+            seed=spawn_seed(cfg.seed, 0x22, i),
         )
         for k, j in enumerate(nbrs):
             blocks[(i, j)] = tuple(sorted(
@@ -370,9 +365,9 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
                       detail=f"host min degree {md} below required {bound}")
 
     for master in range(1, cfg.master_attempts + 1):
-        seed_a = spawn_seed(cfg.seed, 0x01, master)
         try:
-            template = build_template(g, h, cfg, seed=seed_a, counts=attempts)
+            template = build_template(
+                g, h, replace(cfg, seed=spawn_seed(cfg.seed, 0x01, master)), counts=attempts)
         except PartitionError as e:
             stage = "good-partition" if e.level is None else "block-partition"
             failures.append(f"attempt {master}: {stage}: {e}")

@@ -152,7 +152,8 @@ def gen_random_regular(n: int, d: int, seed: int = 0) -> Graph:
     """Random simple d-regular graph on n vertices: one configuration-model
     pairing, made simple by switchings, then n*d/2 steps of the switch chain.
 
-    Requires n*d even and 0 <= d < n. For d above (n-1)/2 the complement of a
+    Any (n, d) but d = 0 on n >= 1, the edgeless graph, must pass
+    check_pattern_dimensions. For d above (n-1)/2 the complement of a
     random (n-1-d)-regular graph is returned. The stubs are shuffled into one
     pairing. Each loop and repeated pair is then removed by double-edge
     switchings (ab, ce -> ac, be) that are made only when both new pairs are
@@ -165,12 +166,9 @@ def gen_random_regular(n: int, d: int, seed: int = 0) -> Graph:
     Raises GenerationError only if the repair's proposal budget, far above
     what any tested (n, d) needs, runs out.
     """
-    if not (0 <= d < n):
-        raise ValueError("regularity must satisfy 0 <= d < n")
-    if (n * d) % 2 != 0:
-        raise ValueError("n*d must be even for a d-regular graph to exist")
-    if d == 0:
+    if d == 0 and n >= 1:  # edgeless; d = n-1 below returns its complement K_n
         return Graph(n)
+    check_pattern_dimensions(n, d)
     if 2 * d > n - 1:
         return _complement(gen_random_regular(n, n - 1 - d, seed))
     rng = make_rng(spawn_seed(seed, 0x07))

@@ -16,9 +16,9 @@ that misses is first repaired by deterministic steepest-descent vertex
 swaps between a failing block and another block of its group, in the
 manner of Kernighan and Lin; blocks of one group share only the center, so
 a swap between two of them leaves every other block's check as it was, and
-only a split the repair cannot fix costs another draw. A group with one
-block has only one possible split, so it is drawn once. Returned
-partitions always satisfy the advertised postconditions.
+only a split the repair cannot fix costs another draw. Both stages draw
+through one seeded split, _draws. Returned partitions always satisfy the
+advertised postconditions.
 
 Every degree rule of both stages reads: vertex v needs at least k
 neighbours in a set X. Each stage states its rules once, as demand tables
@@ -34,7 +34,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
+
+import numpy as np
 
 from .errors import PartitionError
 from .graph import Graph, mask_of, min_degree, regular_degree
@@ -49,6 +51,17 @@ def hypergeometric_tail_bound(n: int, t: float) -> float:
     if t <= 0:
         raise ValueError("deviation t must be positive")
     return 2.0 * math.exp(-2.0 * t * t / n)
+
+
+def _draws(budget: int, population, sizes: Sequence[int], *seed_path: int):
+    """Both stages' random splits, as (k, parts): draw k orders population, an
+    int N standing for range(N), by make_rng(spawn_seed(*seed_path, k)) and
+    cuts the order into sorted parts of the given sizes. Yields budget draws,
+    or one for a single part, which has only one possible split."""
+    ends = [0, *accumulate(sizes)]
+    for k in range(1, (budget if len(sizes) > 1 else 1) + 1):
+        order = make_rng(spawn_seed(*seed_path, k)).permutation(population).tolist()
+        yield k, [tuple(sorted(order[a:b])) for a, b in zip(ends, ends[1:])]
 
 
 # --- stage 1: whole-host good partition --------------------------------------
@@ -156,12 +169,13 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
                    budget: int = 50, seed: int = 0) -> GoodPartition:
     """Random equitable partition of the host, verified at threshold alpha-delta.
 
-    Draws uniformly random partitions of V(g) into n = |V(h)| groups, the
-    first g.n mod n of size g.n // n + 1 and the rest of size g.n // n, and
-    returns the first one whose groups and pattern-edge group pairs all have
-    induced minimum degree at least (alpha-delta) times the relevant group
-    size. Requires min_degree(g) >= alpha*g.n. Raises PartitionError with the
-    attempt count and worst violated constraint when the budget runs out.
+    Draws, through _draws on the seed path (seed, 0x0A), uniformly random
+    partitions of V(g) into n = |V(h)| groups, the first g.n mod n of size
+    g.n // n + 1 and the rest of size g.n // n, and returns the first one
+    whose groups and pattern-edge group pairs all have induced minimum
+    degree at least (alpha-delta) times the relevant group size. Requires
+    min_degree(g) >= alpha*g.n. Raises PartitionError with the draws made
+    and the worst violated constraint when the budget runs out.
     """
     if not (0 < delta < alpha):
         raise ValueError("need 0 < delta < alpha")
@@ -180,14 +194,7 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
     pattern_edges = list(h.edges())
     worst_overall = None
     worst_slack = math.inf
-    for attempt in range(1, budget + 1):
-        rng = make_rng(spawn_seed(seed, 0x0A, attempt))
-        perm = rng.permutation(N).tolist()
-        parts = []
-        pos = 0
-        for size in sizes:
-            parts.append(tuple(sorted(perm[pos:pos + size])))
-            pos += size
+    for attempt, parts in _draws(budget, N, sizes, seed, 0x0A):
         worst, slack = _worst_violation(
             g.rows, [(_good_demands(pattern_edges, parts, threshold), ())])
         if worst is None:
@@ -196,9 +203,9 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
             worst_slack = slack
             worst_overall = worst
     raise PartitionError(
-        f"no good partition at threshold {threshold:.4f} in {budget} attempts; "
+        f"no good partition at threshold {threshold:.4f} in {attempt} attempts; "
         f"worst violation: {worst_overall}",
-        attempts=budget, violation=worst_overall,
+        attempts=attempt, violation=worst_overall,
     )
 
 
@@ -375,10 +382,10 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
                     level_budget: int = 50, seed: int = 0) -> BlockPartition:
     """Split a group of C*d + r vertices, 0 <= r < d, into d verified blocks.
 
-    Each draw takes one uniformly random permutation of the group minus
-    {center} and the d connectors and cuts it into the d block sizes: block
-    i has C-1 vertices (C-2 for the last block), plus one more for the
-    first r blocks.
+    Each draw, through _draws on the seed path (seed, 0x0B, 1), takes one
+    uniformly random order of the group minus {center} and the d connectors
+    and cuts it into the d block sizes: block i has C-1 vertices (C-2 for
+    the last block), plus one more for the first r blocks.
 
     A block S is accepted only if, at threshold tau = alpha - delta, it has
     induced min degree >= tau*C, the center and its connector each have
@@ -393,9 +400,9 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     returns, which passes, is kept; a failing block that no partner repairs
     ends the draw. A draw that passes is used untouched. A missed draw is
     replaced by a fresh one, up to level_budget draws, or one draw for
-    d = 1, whose single block has only one possible draw; exhaustion raises
-    PartitionError at level 1 with the worst miss of the block that ended
-    the last draw, whose attempts count every draw. Requires the induced
+    d = 1, whose single block has only one possible split; exhaustion
+    raises PartitionError at level 1 with the worst miss of the block that
+    ended the last draw, whose attempts count every draw. Requires the induced
     group min degree to be at least alpha*|group| and a feasible C
     (check_blowup).
     """
@@ -424,16 +431,12 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     check_blowup(C, alpha, delta)
 
     sizes = [(C - 1 if ell < d - 1 else C - 2) + (ell < extras) for ell in range(d)]
-    pool = tuple(v for v in group if v not in specials)
+    pool = np.array([v for v in group if v not in specials])  # no conversion per draw
     threshold = alpha - delta
     demands = [_block_demands(ell, k, center, connectors[ell], threshold, C)
                for ell, k in enumerate(sizes)]
-    budget = level_budget if d > 1 else 1  # one block has only one possible draw
-    ends = [sum(sizes[:ell]) for ell in range(d + 1)]
-    for attempt in range(1, budget + 1):
-        # a group draw is level 1, in its seed path as in PartitionError
-        perm = make_rng(spawn_seed(seed, 0x0B, 1, attempt)).permutation(len(pool)).tolist()
-        blocks = [tuple(sorted(pool[i] for i in perm[a:b])) for a, b in zip(ends, ends[1:])]
+    # a group draw is level 1, in its seed path as in PartitionError
+    for attempt, blocks in _draws(level_budget, pool, sizes, seed, 0x0B, 1):
         # a failing block i takes the first repaired pair with a partner j; a
         # swap moves no other block, so blocks before i still pass
         for i in range(d):
@@ -451,5 +454,5 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
         else:
             return BlockPartition(center, tuple(connectors), tuple(blocks), attempt)
     raise PartitionError(
-        f"group draw failed {budget} times; last violation: {viol}",
-        attempts=budget, level=1, violation=viol)
+        f"group draw failed {attempt} times; last violation: {viol}",
+        attempts=attempt, level=1, violation=viol)

@@ -27,6 +27,9 @@ CHECK_NAMES = (
 
 @dataclass
 class PathLengthStats:
+    """Path edge-length statistics; str() of a non-empty record is the line
+    embed and verify print."""
+
     count: int
     min: int | None
     max: int | None
@@ -36,6 +39,9 @@ class PathLengthStats:
     @property
     def empty(self) -> bool:
         return self.count == 0
+
+    def __str__(self) -> str:
+        return f"min={self.min} max={self.max} mean={self.mean:.3f} multiset={self.multiset}"
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -76,11 +78,19 @@ class TestGen:
     @pytest.mark.parametrize("argv, message", [
         (["--kind", "complete"], "gen --kind complete requires --n"),
         (["--kind", "two-clique"], "gen --kind two-clique requires --n"),
-        (["--kind", "regular", "--n", "8"], "gen --kind regular requires --n and --d"),
-    ], ids=["complete", "two-clique", "regular"])
+        (["--kind", "regular", "--n", "8"], "gen --kind regular requires --n --d"),
+        (["--kind", "dirac", "--n", "4"], "gen --kind dirac requires --n --d --C --epsilon"),
+    ], ids=["complete", "two-clique", "regular", "dirac"])
     def test_missing_params_per_kind_usage_error(self, capsys, argv, message):
         assert main(["gen", *argv]) == 2
-        assert capsys.readouterr().err.startswith(message)
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_text_only_stdout(self):
+        # a stream without a byte buffer, as io.StringIO, takes the document as text
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["gen", "--kind", "complete", "--n", "3"]) == 0
+        assert out.getvalue() == "3 3\n0 1\n0 2\n1 2\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["--kind", "regular", "--n", "4", "--d", "0"],
@@ -143,6 +153,23 @@ class TestEmbedVerify:
         loaded = read_certificate(cert)
         assert verify_certificate(read_edge_list(host), complete_graph(3),
                                   loaded).ok
+
+    def test_embed_and_verify_print_one_length_line(self, tmp_path, capsys):
+        host = write_instance(tmp_path, "host.txt", complete_graph(36))
+        patt = write_instance(tmp_path, "patt.txt", complete_graph(3))
+        cert = str(tmp_path / "cert.json")
+        assert main(["embed", "--host", host, "--pattern", patt, "--epsilon", "0.3",
+                     "--C", "6", "--seed", "2", "--out", cert]) == 0
+        embedded = [ln.strip() for ln in capsys.readouterr().err.splitlines()
+                    if "path edge-lengths:" in ln]
+        assert main(["verify", "--host", host, "--pattern", patt, "--cert", cert]) == 0
+        verified = [ln for ln in capsys.readouterr().out.splitlines()
+                    if "path edge-lengths:" in ln]
+        stats = verify_certificate(complete_graph(36), complete_graph(3),
+                                   read_certificate(cert)).length_stats
+        assert embedded == verified == [
+            f"path edge-lengths: min={stats.min} max={stats.max} "
+            f"mean={stats.mean:.3f} multiset={stats.multiset}"]
 
     def test_embed_to_stdout(self, tmp_path, capsys):
         host = write_instance(tmp_path, "host.txt", complete_graph(36))

@@ -77,12 +77,15 @@ class TestRandomRegular:
         assert g.edge_count == 0
 
     def test_odd_parity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n\*d must be even for a d-regular graph to exist$"):
             gen_random_regular(5, 3, seed=0)
 
     def test_d_out_of_range(self):
-        with pytest.raises(ValueError):
+        # the sampler's domain is check_pattern_dimensions', plus d = 0 on n >= 1
+        with pytest.raises(ValueError, match=r"^pattern regularity d must satisfy 1 <= d < n$"):
             gen_random_regular(4, 4, seed=0)
+        with pytest.raises(ValueError, match=r"^pattern vertex count n must be >= 2$"):
+            gen_random_regular(0, 0, seed=0)
 
     def test_deterministic(self):
         a = gen_random_regular(10, 3, seed=77)

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dirac_subdiv import partition
 from dirac_subdiv.graph import mask_of
+from dirac_subdiv.rng import make_rng, spawn_seed
 from dirac_subdiv import (Graph, PartitionError, block_partition,
                           complete_graph, degree_into, gen_dirac_host,
                           gen_two_clique_extremal, good_partition, HostSpec,
@@ -12,6 +14,62 @@ from dirac_subdiv import (Graph, PartitionError, block_partition,
                           is_good_partition, min_degree)
 
 from support import path_graph, random_gnp
+
+
+def inline_good_cut(seed, budget, N, sizes):
+    """The draws good_partition cut inline before _draws, as the reference."""
+    draws = []
+    for attempt in range(1, budget + 1):
+        rng = make_rng(spawn_seed(seed, 0x0A, attempt))
+        perm = rng.permutation(N).tolist()
+        parts = []
+        pos = 0
+        for size in sizes:
+            parts.append(tuple(sorted(perm[pos:pos + size])))
+            pos += size
+        draws.append((attempt, parts))
+    return draws
+
+
+def inline_block_cut(seed, level_budget, pool, sizes):
+    """The draws block_partition cut inline before _draws, as the reference."""
+    d = len(sizes)
+    budget = level_budget if d > 1 else 1
+    ends = [sum(sizes[:ell]) for ell in range(d + 1)]
+    draws = []
+    for attempt in range(1, budget + 1):
+        perm = make_rng(spawn_seed(seed, 0x0B, 1, attempt)).permutation(len(pool)).tolist()
+        draws.append((attempt, [tuple(sorted(pool[i] for i in perm[a:b]))
+                                for a, b in zip(ends, ends[1:])]))
+    return draws
+
+
+class TestDraws:
+    SIZES = pytest.mark.parametrize("sizes", [[9], [1, 1], [4, 3, 3], [5, 5, 4, 4], [2, 7, 1, 3, 3]],
+                                    ids=lambda sizes: "-".join(map(str, sizes)))
+
+    @SIZES
+    def test_good_stage_matches_inline_cut(self, sizes):
+        # a single part draws once: good_partition's first draw of one group
+        # always passed, so it never made a second
+        for seed in range(25):
+            want = inline_good_cut(seed, 4, sum(sizes), sizes)
+            got = list(partition._draws(4, sum(sizes), sizes, seed, 0x0A))
+            assert got == (want if len(sizes) > 1 else want[:1])
+
+    @SIZES
+    def test_block_stage_matches_inline_cut(self, sizes):
+        # block_partition passes its pool as an array; a tuple draws the same
+        rnd = random.Random(len(sizes))
+        for seed in range(25):
+            pool = tuple(sorted(rnd.sample(range(3 * sum(sizes)), sum(sizes))))
+            want = inline_block_cut(seed, 4, pool, sizes)
+            for population in (np.array(pool), pool):
+                assert list(partition._draws(4, population, sizes, seed, 0x0B, 1)) == want
+
+    def test_one_group_passes_its_first_draw(self):
+        gp = good_partition(complete_graph(9), Graph(1), alpha=0.6, delta=0.1)
+        assert gp.parts == (tuple(range(9)),) and gp.attempts == 1
 
 
 class TestTailBound:
