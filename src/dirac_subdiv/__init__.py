@@ -1,9 +1,9 @@
 """Spanning subdivisions of regular patterns in dense host graphs.
 
 Library + CLI for constructively embedding a spanning subdivision of an
-n-vertex d-regular pattern into a host on N = C*d*n vertices with minimum
-degree at least (1+eps)*N/2, as a Las Vegas pipeline whose output is an
-independently verified certificate.
+n-vertex d-regular pattern into a host on N vertices, C*d*n <= N < (C+1)*d*n,
+with minimum degree at least (1+eps)*N/2, as a Las Vegas pipeline whose
+output is an independently verified certificate.
 """
 
 from .certificate import (SubdivisionCertificate, certificate_from_json,

@@ -70,14 +70,16 @@ def _unique_keys(pairs) -> dict:
 
 
 def certificate_from_json(text: str) -> SubdivisionCertificate:
-    """Parse a certificate document. Any malformed document, including a
-    missing field, a value of the wrong JSON type, a repeated key, a
-    pattern edge listed twice or nesting too deep to decode, raises
-    ValueError."""
+    """Parse a certificate document. Any malformed document, including text
+    that is not JSON, a missing field, a value of the wrong JSON type, a
+    repeated key, a pattern edge listed twice or nesting too deep to
+    decode, raises ValueError."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("certificate nests too deeply to decode") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"certificate is not JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ValueError("not a subdivision certificate document")
     if type(doc.get("version")) is not int or doc["version"] != FORMAT_VERSION:

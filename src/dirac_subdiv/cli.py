@@ -37,6 +37,13 @@ def _warn_small_d(n: int, d: int) -> None:
               "guarantee is only established for d >= ln n", file=sys.stderr)
 
 
+def _host_cell(n: int, d: int, C: int, eps: float, seed: int = 0) -> HostSpec:
+    """A gen or sweep cell's HostSpec, whose C must pass check_blowup as in embed."""
+    spec = HostSpec(n, d, C, eps, seed)
+    check_blowup(C, *stage_thresholds(eps)[1])
+    return spec
+
+
 def _cmd_gen(args) -> int:
     kind = args.kind
     if any(getattr(args, name) is None for name in GEN_NEEDS[kind]):
@@ -51,7 +58,7 @@ def _cmd_gen(args) -> int:
         _warn_small_d(args.n, args.d)
         g = gen_random_regular(args.n, args.d, args.seed)
     else:  # dirac
-        spec = HostSpec(args.n, args.d, args.C, args.epsilon, args.seed)
+        spec = _host_cell(args.n, args.d, args.C, args.epsilon, args.seed)
         _warn_small_d(args.n, args.d)
         g = gen_dirac_host(spec)
     if args.out:
@@ -70,10 +77,8 @@ def _cmd_gen(args) -> int:
 def _cmd_embed(args) -> int:
     host = read_edge_list(args.host)
     pattern = read_edge_list(args.pattern)
-    cfg = EmbedConfig(
-        epsilon=args.epsilon, C=args.C, seed=args.seed,
-        master_attempts=args.master_attempts,
-    )
+    cfg = EmbedConfig(epsilon=args.epsilon, C=args.C, seed=args.seed,
+                      master_attempts=args.master_attempts)
     n, d, _ = resolve_dimensions(host, pattern, cfg)
     _warn_small_d(n, d)
     report = embed_subdivision(host, pattern, cfg)
@@ -105,7 +110,7 @@ def _cmd_verify(args) -> int:
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid experiment: every combination of the listed values is one cell,
-    which must pass HostSpec and check_blowup; a ValueError names the cell."""
+    which must pass _host_cell; a ValueError names the cell."""
 
     kinds: tuple[str, ...]
     ns: tuple[int, ...]
@@ -127,8 +132,7 @@ class SweepSpec:
                 raise ValueError(f"unknown host kind {k!r}")
         for _, (_, n, d, C, eps) in self.cells():
             try:
-                HostSpec(n, d, C, eps)
-                check_blowup(C, *stage_thresholds(eps)[1])
+                _host_cell(n, d, C, eps)
             except ValueError as e:
                 raise ValueError(f"cell (n={n}, d={d}, C={C}, epsilon={eps}): {e}") from None
 

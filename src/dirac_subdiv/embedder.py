@@ -195,16 +195,15 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
 
     Stage thresholds follow the proof chain: the whole-host partition is
     checked at (1+eps)/2 minus eps/2, and the per-group block partitions at
-    that value minus eps/4. The block stage also checks every block,
-    branch vertex and connector included, at Ore's bound
-    (|block|+1)/2, so a block that would fail check_template's
-    block-min-degree is repaired or re-drawn with its group instead of
-    failing the whole attempt. Raises PartitionError when a randomized
-    stage exhausts its budget, and ValueError when the inputs are
-    structurally unsuitable or the host misses the degree bound (the latter
+    that value minus eps/4. The block stage also checks every block, branch
+    vertex and connector included, at Ore's bound (|block|+1)/2, so a block
+    that would fail check_template's block-ore-degree is repaired or re-drawn
+    with its group instead of failing the whole attempt. Raises PartitionError
+    when a randomized stage exhausts its budget, and ValueError when the inputs
+    are structurally unsuitable or the host misses the degree bound (the latter
     checked by good_partition). Every template passes check_template by
-    construction, so a failed check is a bug: an AssertionError that names
-    the label and the witness.
+    construction, so a failed check is a bug: an AssertionError that names the
+    label and the witness.
 
     When `counts` is given, every good-partition draw is added to
     counts["good_partition"] and every block-partition group draw to
@@ -321,7 +320,7 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
             have = (rows[v] & bmask).bit_count()
             if have < need:
                 return TemplateCheck(
-                    False, "block-min-degree",
+                    False, "block-ore-degree",
                     f"vertex {v} has degree {have} in block {key}, "
                     f"need >= {need}")
 

@@ -5,10 +5,9 @@ group per pattern vertex, accepted only if every group and every
 pattern-edge group pair induces large minimum degree. Second, inside one
 group, a uniformly random split of the group, center and connectors
 excepted, into one block per connector. A block is accepted only with
-large inner degree, with large degree from the group's center and from its
-connector into it, and when, with the center and its connector added, it
-meets Ore's bound min degree >= (|B|+1)/2, so every block the second stage
-returns passes the template's block-degree check.
+large inner degree and when, with the center and its connector added, it
+meets Ore's bound min degree >= (|B|+1)/2, which passes the template's Ore
+check and gives the center and the connector about half the block.
 
 Both stages are Las Vegas: a candidate partition is checked against the
 required degree thresholds and re-randomized on failure. A block split
@@ -17,8 +16,7 @@ swaps between a failing block and another block of its group, in the
 manner of Kernighan and Lin; blocks of one group share only the center, so
 a swap between two of them leaves every other block's check as it was, and
 only a split the repair cannot fix costs another draw. Both stages draw
-through one seeded split, _draws. Returned partitions always satisfy the
-advertised postconditions.
+through one seeded split, _draws.
 
 Every degree rule of both stages reads: vertex v needs at least k
 neighbours in a set X. Each stage states its rules once, as demand tables
@@ -126,6 +124,17 @@ def _good_demands(pattern_edges, parts, threshold: float):
             yield "pair-degree", (a, b), parts[a], masks[b], threshold * len(parts[b])
 
 
+def _goodness(rows, pattern_edges, parts, threshold: float) -> GoodnessCheck:
+    """Conditions 1-3 of a good partition of the host with these rows."""
+    base, rem = divmod(len(rows), len(parts))
+    for i, p in enumerate(parts):
+        if len(p) != base + (i < rem):
+            return GoodnessCheck(False, ("part-size", i, len(p), base + (i < rem)), -math.inf)
+    worst, min_slack = _worst_violation(
+        rows, [(_good_demands(pattern_edges, parts, threshold), ())])
+    return GoodnessCheck(worst is None, worst, min_slack)
+
+
 def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
                       threshold: float) -> GoodnessCheck:
     """Check the three good-partition conditions at the given threshold.
@@ -134,15 +143,13 @@ def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
     the first N mod n of size N // n + 1 and the rest of size N // n.
     Condition 2: every part P induces minimum degree >= threshold*|P|.
     Condition 3: for every pattern edge ij, each vertex of P_i has at least
-    threshold*|P_j| neighbours in P_j, and vice versa. A
-    partition that is structurally broken (wrong part count, overlap, not
-    covering the host) raises ValueError; condition failures are reported,
-    not raised.
+    threshold*|P_j| neighbours in P_j, and vice versa. A partition that is
+    structurally broken (wrong part count, overlap, not covering the host)
+    raises ValueError; condition failures are reported, not raised.
     """
     parts = [tuple(sorted(set(p))) for p in parts]
     if len(parts) != h.n:
         raise ValueError(f"expected {h.n} parts, got {len(parts)}")
-    total = 0
     union = 0
     for p in parts:
         if p and not (0 <= p[0] and p[-1] < g.n):
@@ -151,18 +158,9 @@ def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
         if union & m:
             raise ValueError("parts overlap")
         union |= m
-        total += len(p)
-    if total != g.n or union != g.full_mask():
+    if union != g.full_mask():  # disjoint sets, so the sizes sum to g.n
         raise ValueError("parts do not cover the host vertex set")
-
-    base, rem = divmod(g.n, h.n)
-    for i, p in enumerate(parts):
-        want = base + (i < rem)
-        if len(p) != want:
-            return GoodnessCheck(False, ("part-size", i, len(p), want), -math.inf)
-    worst, min_slack = _worst_violation(
-        g.rows, [(_good_demands(h.edges(), parts, threshold), ())])
-    return GoodnessCheck(worst is None, worst, min_slack)
+    return _goodness(g.rows, h.edges(), parts, threshold)
 
 
 def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
@@ -182,8 +180,7 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     regular_degree(h)
-    n = h.n
-    N = g.n
+    n, N = h.n, g.n
     base, rem = divmod(N, n)
     sizes = [base + 1] * rem + [base] * (n - rem)
     md = min_degree(g)
@@ -192,20 +189,17 @@ def good_partition(g: Graph, h: Graph, alpha: float, delta: float,
 
     threshold = alpha - delta
     pattern_edges = list(h.edges())
-    worst_overall = None
-    worst_slack = math.inf
+    least = None  # the failed check of least min_slack, the first on a tie
     for attempt, parts in _draws(budget, N, sizes, seed, 0x0A):
-        worst, slack = _worst_violation(
-            g.rows, [(_good_demands(pattern_edges, parts, threshold), ())])
-        if worst is None:
+        check = _goodness(g.rows, pattern_edges, parts, threshold)
+        if check.ok:
             return GoodPartition(tuple(parts), attempt)
-        if slack < worst_slack:
-            worst_slack = slack
-            worst_overall = worst
+        if least is None or check.min_slack < least.min_slack:
+            least = check
     raise PartitionError(
         f"no good partition at threshold {threshold:.4f} in {attempt} attempts; "
-        f"worst violation: {worst_overall}",
-        attempts=attempt, violation=worst_overall,
+        f"worst violation: {least.violation}",
+        attempts=attempt, violation=least.violation,
     )
 
 
@@ -262,14 +256,16 @@ class BlockPartition:
 
 def _block_demands(i: int, size: int, center: int, connector: int,
                    threshold: float, C: int):
-    """The demand rows of block i of the given size, as block_partition
-    states them, in check order: inner degree, center, connector, then Ore's
-    bound on every vertex of B = S + {center, connector}, S first."""
-    need, extra = threshold * size, 1 << center | 1 << connector
+    """Block i's demand rows at size s and threshold tau, in check order:
+    inner degree tau*C, then Ore's bound on every vertex of B = S + {center,
+    connector}, S first. Degree tau*s from the center or the connector needs
+    no row: with c its neighbours in S and a = 1 when the two are adjacent,
+    Ore's bound gives c >= ceil((s+3)/2) - a >= ceil((s+1)/2) >= tau*s for
+    tau < 1/2 + 1/(2s), with slack c + a - (s+3)/2 below c - tau*s, so such
+    a row would change no check, repair bound or worst miss."""
+    extra = 1 << center | 1 << connector
     ore = (size + 3) / 2  # (|B|+1)/2 with |B| = size + 2
     return [("block-min-degree", i, None, 0, threshold * C),
-            ("center-degree", i, (center,), 0, need),
-            ("connector-degree", i, (connector,), 0, need),
             *(("block-ore-degree", i, W, extra, ore) for W in (None, (center, connector)))]
 
 
@@ -388,23 +384,22 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     the last block), plus one more for the first r blocks.
 
     A block S is accepted only if, at threshold tau = alpha - delta, it has
-    induced min degree >= tau*C, the center and its connector each have
-    degree >= tau*|S| into it, and with the center and its connector added,
-    B = S + {center, connector} meets Ore's bound min degree >= (|B|+1)/2,
-    the block-min-degree check of check_template, labelled
-    "block-ore-degree" when it fails.
+    induced min degree >= tau*C ("block-min-degree") and B = S + {center,
+    connector} meets Ore's bound min degree >= (|B|+1)/2 ("block-ore-degree"),
+    check_template's Ore check. That bound gives the center and the connector
+    degree >= tau*|S| into S for tau < 1/2 + 1/(2|S|), every threshold
+    build_template uses (_block_demands); above it that degree is unchecked.
 
-    Each block of a draw is checked once, in index order. A failing block
-    is passed to _swap_repair with each other block in index order,
+    Each block of a draw is checked once, in index order. A failing block is
+    passed to _swap_repair with each other block in index order,
     deterministically and without drawing a seed, and the first pair it
     returns, which passes, is kept; a failing block that no partner repairs
     ends the draw. A draw that passes is used untouched. A missed draw is
-    replaced by a fresh one, up to level_budget draws, or one draw for
-    d = 1, whose single block has only one possible split; exhaustion
-    raises PartitionError at level 1 with the worst miss of the block that
-    ended the last draw, whose attempts count every draw. Requires the induced
-    group min degree to be at least alpha*|group| and a feasible C
-    (check_blowup).
+    replaced by a fresh one, up to level_budget draws, or one draw for d = 1,
+    whose single block has only one possible split; exhaustion raises
+    PartitionError at level 1 with the worst miss of the block that ended the
+    last draw, whose attempts count every draw. Requires the induced group min
+    degree to be at least alpha*|group| and a feasible C (check_blowup).
     """
     if not (0 < delta < alpha):
         raise ValueError("need 0 < delta < alpha")

@@ -101,9 +101,14 @@ class TestGen:
          "pattern regularity d must satisfy 1 <= d < n"),
         (["--kind", "dirac", "--n", "5", "--d", "3", "--C", "12", "--epsilon", "0.25"],
          "n*d must be even for a d-regular graph to exist"),
-    ], ids=["regular-d0", "regular-n1", "dirac-d0", "dirac-odd"])
+        # a cell that sweep rejects: no block split at C=4 meets tau*C
+        (["--kind", "dirac", "--n", "4", "--d", "3", "--C", "4", "--epsilon", "0.25"],
+         "blow-up constant C=4 is infeasible at block threshold 0.4375: the last "
+         "block's C-2 vertices have inner degree at most C-3 < 0.4375*C; the "
+         "smallest feasible C is 6"),
+    ], ids=["regular-d0", "regular-n1", "dirac-d0", "dirac-odd", "dirac-infeasible-C"])
     def test_pattern_outside_embed_domain_usage_error(self, capsys, argv, message):
-        # gen writes no pattern that embed would reject, and warns about none
+        # gen writes no instance that embed would reject, and warns about none
         assert main(["gen", *argv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
@@ -335,6 +340,20 @@ class TestEmbedVerify:
         assert main(["verify", "--host", host, "--pattern", patt,
                      "--cert", str(cert), "--spanning"]) == 2
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, detail", [
+        ("", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"format": ', "Expecting value: line 1 column 12 (char 11)"),
+    ], ids=["empty", "truncated"])
+    def test_not_json_certificate_usage_error(self, tmp_path, capsys, text, detail):
+        # the decoder's message alone named no certificate
+        host = write_instance(tmp_path, "host.txt", complete_graph(4))
+        patt = write_instance(tmp_path, "patt.txt", complete_graph(2))
+        cert = tmp_path / "cert.json"
+        cert.write_text(text)
+        assert main(["verify", "--host", host, "--pattern", patt,
+                     "--cert", str(cert)]) == 2
+        assert capsys.readouterr().err == f"error: certificate is not JSON: {detail}\n"
 
     @pytest.mark.parametrize("text", ["[" * 100000, '{"a": ' * 100000],
                              ids=["array", "object"])

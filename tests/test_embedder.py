@@ -213,7 +213,7 @@ class TestCheckTemplate:
                      connectors={(0, 1): 2, (1, 0): 6},
                      blocks={(0, 1): (0, 1, 2, 3), (1, 0): (4, 5, 6, 7)})
         chk = check_template(g, h, t)
-        assert not chk.ok and chk.label == "block-min-degree"
+        assert not chk.ok and chk.label == "block-ore-degree"
 
     def test_connector_edge(self):
         g = complete_minus(8, {(2, 6)})
@@ -327,7 +327,7 @@ class TestEmbedSubdivision:
         assert rep.wall_time_s > 0
 
     def test_near_bound_attempts_never_fail_the_template(self):
-        # the block stage checks the template's block-min-degree bound, so
+        # the block stage checks the template's block-ore-degree bound, so
         # every template passes check_template (a miss would raise) and only
         # a partition stage can cost a master attempt
         for seed in range(5):

@@ -486,10 +486,10 @@ def reference_block_violation(g, center, connectors, entries, tau, C):
     """The worst missed block-stage event, recounted edge by edge: the least
     have - need, the first in the documented order on a tie, or None. Per
     (block index, vertex tuple) entry the order is the inner degree of each
-    vertex of S, the center's and the block's connector's degree into S,
-    then Ore's bound in B = S + {center, connector}: S, the center, the
-    connector. One rule asks one need of each vertex it binds, so this is
-    the first vertex of least count in the first rule of least slack."""
+    vertex of S, then Ore's bound in B = S + {center, connector}: S, the
+    center, the connector. One rule asks one need of each vertex it binds,
+    so this is the first vertex of least count in the first rule of least
+    slack."""
     def have(v, members):
         return sum(g.has_edge(v, u) for u in members)
 
@@ -498,8 +498,6 @@ def reference_block_violation(g, center, connectors, entries, tau, C):
         S, conn = set(vs), connectors[i]
         B = S | {center, conn}
         rules = [("block-min-degree", v, S, tau * C) for v in vs]
-        rules += [("center-degree", center, S, tau * len(vs)),
-                  ("connector-degree", conn, S, tau * len(vs))]
         rules += [("block-ore-degree", v, B, (len(B) + 1) / 2)
                   for v in (*vs, center, conn)]
         events += [(label, v, i, have(v, members), need)
@@ -537,19 +535,81 @@ class TestBlockEventsReference:
                 g.rows, block_sides(center, connectors, entries, tau, C))
             assert got == reference_block_violation(g, center, connectors, entries, tau, C)
             labels.add(got and got[0])
-        assert labels == {None, "block-min-degree", "center-degree",
-                          "connector-degree", "block-ore-degree"}
+        assert labels == {None, "block-min-degree", "block-ore-degree"}
+
+
+def five_row_block_demands(i, size, center, connector, threshold, C):
+    """_block_demands as it was with two more rows: degree tau*|S| from the
+    center and from the connector into S, checked after the inner degree."""
+    need, extra = threshold * size, 1 << center | 1 << connector
+    ore = (size + 3) / 2
+    return [("block-min-degree", i, None, 0, threshold * C),
+            ("center-degree", i, (center,), 0, need),
+            ("connector-degree", i, (connector,), 0, need),
+            *(("block-ore-degree", i, W, extra, ore) for W in (None, (center, connector)))]
+
+
+class TestCenterAndConnectorRowsAreImplied:
+    @staticmethod
+    def block_pairs(rng, count):
+        """count random groups, each with two of its blocks (i, A), (j, B)."""
+        for _ in range(count):
+            d = rng.randint(2, 4)
+            g = random_gnp(rng.randint(d + 9, 31), rng.uniform(0.4, 0.95), rng)
+            center, *connectors = rng.sample(range(g.n), d + 1)
+            rest = [v for v in range(g.n) if v != center and v not in connectors]
+            rng.shuffle(rest)
+            k = len(rest) // 2 + rng.randint(-1, 1)
+            i, j = rng.sample(range(d), 2)
+            yield g, center, connectors, [(i, tuple(sorted(rest[:k]))),
+                                          (j, tuple(sorted(rest[k:])))]
+
+    def test_same_results_below_the_bound(self):
+        # at the pipeline's tau = 1/2 - eps/4 and just below 1/2 + 1/(2|S|),
+        # the check of one block and of a pair (worst miss and min slack) and
+        # the pair's repair are those of the five-row table; the two deleted
+        # rows still miss on their own, so the cases exercise them
+        rng = random.Random(30)
+        own_misses = repaired = 0
+        for g, center, connectors, entries in self.block_pairs(rng, 120):
+            largest = max(len(vs) for _, vs in entries)
+            C = largest + 1
+            for tau in (0.4875, 0.475, 0.4375, 0.375, 0.5 + 1 / (2 * largest) - 1e-6):
+                sides = [[(table(i, len(vs), center, connectors[i], tau, C), vs)
+                          for i, vs in entries]
+                         for table in (partition._block_demands, five_row_block_demands)]
+                for k in (1, 2):
+                    assert (partition._worst_violation(g.rows, sides[0][:k])
+                            == partition._worst_violation(g.rows, sides[1][:k]))
+                got = partition._swap_repair(g.rows, sides[0])
+                assert got == partition._swap_repair(g.rows, sides[1])
+                repaired += got is not None and got != pair_sets(entries)
+                own_misses += any(
+                    partition._worst_violation(g.rows, [(demands[1:3], vs)])[0]
+                    for demands, vs in sides[1])
+        assert own_misses >= 100 and repaired >= 50
+
+    def test_above_the_bound_the_tables_differ(self):
+        # tau = 0.75 > 1/2 + 1/16 on a block of 8: the center sees 5 vertices
+        # of S and the connector, 6 >= Ore's (8+3)/2, yet 5 < tau*8, so only
+        # the deleted center row misses
+        edges = [(u, v) for u in range(1, 10) for v in range(u + 1, 10)]
+        edges += [(0, v) for v in range(1, 7)]
+        g, S = Graph(10, edges), tuple(range(2, 10))
+        assert partition._worst_violation(
+            g.rows, [(partition._block_demands(0, 8, 0, 1, 0.75, 8), S)]) == (None, 0.5)
+        assert partition._worst_violation(
+            g.rows, [(five_row_block_demands(0, 8, 0, 1, 0.75, 8), S)]) == (
+            ("center-degree", 0, 0, 5, 6.0), -1.0)
 
 
 def side_rules(center, connector, side, tau, C):
     """The (vertex, members mask, need) rules of one block X in whole
-    degrees, stated from the documented events: tau*C inner degree, tau*|X|
-    for the center and its connector, and Ore's (|B|+1)/2 in
-    B = X + {center, connector}."""
+    degrees, stated from the documented events: tau*C inner degree, and
+    Ore's (|B|+1)/2 in B = X + {center, connector}."""
     S = mask_of(side)
     B = S | 1 << center | 1 << connector
     return ([(v, S, math.ceil(tau * C)) for v in side]
-            + [(v, S, math.ceil(tau * len(side))) for v in (center, connector)]
             + [(v, B, math.ceil((len(side) + 3) / 2)) for v in (*side, center, connector)])
 
 
