@@ -31,7 +31,7 @@ from .generators import check_pattern_dimensions, dirac_degree_bound
 # induced is unused here; perfbench/spans.py traces it as embedder.induced
 from .graph import Graph, induced, mask_of, min_degree, regular_degree
 from .partition import block_partition, check_blowup, good_partition
-from .hampath import hamilton_path_between
+from .hampath import hamilton_path_between, ore_miss
 from .rng import spawn_seed
 from .verifier import PathLengthStats, verify_certificate
 
@@ -312,17 +312,13 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
                 return TemplateCheck(False, "block-size",
                                      f"block {key} has size {size}, window [{lo},{hi}]")
 
-    rows = g.rows  # the cover check above put every block id in range
-    for key in sorted(expected):
-        blk, bmask = blocks[key], masks[key]
-        need = (len(blk) + 1) / 2.0
-        for v in blk:
-            have = (rows[v] & bmask).bit_count()
-            if have < need:
-                return TemplateCheck(
-                    False, "block-ore-degree",
-                    f"vertex {v} has degree {have} in block {key}, "
-                    f"need >= {need}")
+    for key in sorted(expected):  # the cover check above put every block id in range
+        miss = ore_miss(g.rows, blocks[key], masks[key])
+        if miss is not None:
+            return TemplateCheck(
+                False, "block-ore-degree",
+                f"vertex {miss[0]} has degree {miss[1]} in block {key}, "
+                f"need >= {(len(blocks[key]) + 1) / 2.0}")
 
     for (i, j) in sorted((i, j) for (i, j) in expected if i < j):
         if not g.has_edge(t.connectors[(i, j)], t.connectors[(j, i)]):

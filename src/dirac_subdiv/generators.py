@@ -65,7 +65,8 @@ def dirac_degree_bound(N: int, epsilon: float) -> int:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return Graph(n, np.column_stack(np.triu_indices(n, k=1)))
+    full = (1 << int(n)) - 1  # int: a numpy n would shift in 64 bits
+    return Graph._from_rows([full ^ (1 << v) for v in range(n)])
 
 
 def gen_two_clique_extremal(half: int) -> Graph:
@@ -78,8 +79,9 @@ def gen_two_clique_extremal(half: int) -> Graph:
     """
     if half < 1:
         raise ValueError("clique size must be >= 1")
-    clique = np.column_stack(np.triu_indices(half, k=1))
-    return Graph(2 * half, np.concatenate((clique, clique + half)))
+    clique = (1 << int(half)) - 1
+    rows = [clique ^ (1 << v) for v in range(half)]  # the second clique is half higher
+    return Graph._from_rows(rows + [row << int(half) for row in rows])
 
 
 def _sample_gnp(n: int, p: float, rng: np.random.Generator) -> Graph:

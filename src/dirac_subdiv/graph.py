@@ -30,9 +30,11 @@ class Graph:
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[tuple[int, int]] | np.ndarray = ()):
-        """Edges are pairs or an (m, 2) integer array; repeats collapse. An id
-        that is not an integer, then an id out of range, and after that a
-        loop, names the first such edge."""
+        """Edges are pairs or an (m, 2) integer array; repeats collapse. The
+        vertex count must be an integer; an id that is not, then an id out of
+        range, and after that a loop, names the first such edge."""
+        if not isinstance(vertex_count, (int, np.integer)):
+            raise ValueError("vertex_count must be an integer")
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         n = int(vertex_count)
@@ -194,16 +196,19 @@ def degree_into(g: Graph, v: int, members: Iterable[int] | int) -> int:
     (useful in hot loops). Membership of v itself is irrelevant since the
     graph has no self-loops.
     """
-    if isinstance(members, int):
-        mask = members
-    else:
-        vs = list(members)
-        if vs and min(vs) < 0:
-            raise ValueError("member set contains out-of-range vertices")
-        mask = mask_of(vs)
-    if mask >> g.n:  # an id of n or more, or a negative mask
+    mask = members if isinstance(members, int) else mask_of(checked_ids(g, members))
+    if mask >> g.n:  # a mask with a bit at n or past it, or a negative mask
         raise ValueError("member set contains out-of-range vertices")
     return (g.neighbor_mask(v) & mask).bit_count()
+
+
+def checked_ids(g: Graph, ids: Iterable[int], what: str = "member set") -> list[int]:
+    """The ids of a caller-given vertex set of g, ascending and without
+    repeats; a ValueError names the set `what` when one lies outside [0, N)."""
+    vs = sorted(set(ids))
+    if vs and not (0 <= vs[0] and vs[-1] < g.n):
+        raise ValueError(f"{what} contains out-of-range vertices")
+    return vs
 
 
 def induced(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -212,9 +217,7 @@ def induced(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     Returns (subgraph, mapping) where mapping is the bijection from the
     original ids (sorted ascending) onto 0..len(members)-1.
     """
-    vs = sorted(set(members))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        raise ValueError("member set contains out-of-range vertices")
+    vs = checked_ids(g, members)
     index = {v: i for i, v in enumerate(vs)}
     return Graph._from_rows(pack_rows(_unpack_rows([g.rows[v] for v in vs], g.n)[:, vs])), index
 

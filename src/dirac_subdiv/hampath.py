@@ -14,7 +14,7 @@ limited to EXACT_THRESHOLD vertices, and a larger such set is a ValueError.
 
 from __future__ import annotations
 
-from .graph import Graph, bits, induced, mask_of
+from .graph import Graph, bits, checked_ids, induced, mask_of
 # spawn_seed is unused here; perfbench/spans.py traces it as hampath.spawn_seed
 from .rng import spawn_seed
 
@@ -35,14 +35,23 @@ def _path_vertices(g: Graph, x: int, y: int, within=None):
     """The vertices a Hamilton x,y-path covers, ascending: all of g, or the
     set `within`, once checked to hold only ids of g and both endpoints,
     which must differ."""
-    vs = range(g.n) if within is None else sorted(set(within))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        raise ValueError(f"vertex set has ids out of range for {g.n} vertices")
+    vs = range(g.n) if within is None else checked_ids(g, within, "vertex set")
     if x == y:
         raise ValueError("endpoints must be distinct")
     if x not in vs or y not in vs:
         raise ValueError(f"endpoints ({x},{y}) must lie among the {len(vs)} path vertices")
     return vs
+
+
+def ore_miss(rows, vertices, mask: int) -> tuple[int, int] | None:
+    """The first of `vertices`, in their order, with fewer than (k+1)/2
+    neighbours in `mask`, the bitmask of those k vertices, as (v, degree);
+    None when all of them meet Ore's bound. rows[v] is v's adjacency mask."""
+    for v in vertices:
+        have = (rows[v] & mask).bit_count()
+        if 2 * have < len(vertices) + 1:
+            return v, have
+    return None
 
 
 def _ore_path(rows, vertices, x: int, y: int) -> list[int]:
@@ -127,11 +136,9 @@ def hamilton_path_between(g: Graph, x: int, y: int, return_stats: bool = False,
     restarts 0 and whether the exact DP ran.
     """
     vs = _path_vertices(g, x, y, within)
-    mask = mask_of(vs)
-    rows = g.rows
-    exact = 2 * min((rows[v] & mask).bit_count() for v in vs) < len(vs) + 1
+    exact = ore_miss(g.rows, vs, mask_of(vs)) is not None
     if not exact:
-        path = _ore_path(rows, vs, x, y)
+        path = _ore_path(g.rows, vs, x, y)
     elif len(vs) > EXACT_THRESHOLD:
         raise ValueError(f"a set of {len(vs)} vertices that misses Ore's bound is "
                          f"past the exact DP's EXACT_THRESHOLD = {EXACT_THRESHOLD}")

@@ -37,7 +37,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from .errors import PartitionError
-from .graph import Graph, mask_of, min_degree, regular_degree
+from .graph import Graph, checked_ids, mask_of, min_degree, regular_degree
 from .rng import make_rng, spawn_seed
 
 
@@ -147,13 +147,11 @@ def is_good_partition(g: Graph, h: Graph, parts: Sequence[Iterable[int]],
     structurally broken (wrong part count, overlap, not covering the host)
     raises ValueError; condition failures are reported, not raised.
     """
-    parts = [tuple(sorted(set(p))) for p in parts]
     if len(parts) != h.n:
         raise ValueError(f"expected {h.n} parts, got {len(parts)}")
+    parts = [tuple(checked_ids(g, p, "part")) for p in parts]
     union = 0
     for p in parts:
-        if p and not (0 <= p[0] and p[-1] < g.n):
-            raise ValueError("part contains out-of-range vertices")
         m = mask_of(p)
         if union & m:
             raise ValueError("parts overlap")
@@ -405,9 +403,7 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
         raise ValueError("need 0 < delta < alpha")
     if level_budget < 1:
         raise ValueError("level_budget must be >= 1")
-    group = sorted(set(group))
-    if group and not (0 <= group[0] and group[-1] < g.n):
-        raise ValueError("group contains out-of-range vertices")
+    group = checked_ids(g, group, "group")
     gmask = mask_of(group)
     d = len(connectors)
     if d < 1:

@@ -8,7 +8,8 @@ import numpy as np
 
 
 def spawn_seed(*parts: int) -> int:
-    """Derive a child seed from an integer chain, e.g. (root, stage, attempt)."""
+    """Derive a child seed from an integer chain, e.g. (root, stage, attempt).
+    Each part is taken mod 2**64, so seeds -1 and 2**64 - 1 derive the same."""
     ss = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
     return int(ss.generate_state(1, np.uint64)[0])
 

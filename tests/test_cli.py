@@ -159,6 +159,18 @@ class TestEmbedVerify:
         assert verify_certificate(read_edge_list(host), complete_graph(3),
                                   loaded).ok
 
+    def test_seeds_wrap_at_two_to_the_64(self, tmp_path):
+        # spawn_seed takes every seed mod 2**64, so -1 and 2**64 - 1 are one seed
+        host = write_instance(tmp_path, "host.txt", complete_graph(36))
+        patt = write_instance(tmp_path, "patt.txt", complete_graph(3))
+        written = []
+        for seed in ("-1", str(2 ** 64 - 1), "0"):
+            cert = tmp_path / f"cert{seed}.json"
+            assert main(["embed", "--host", host, "--pattern", patt, "--epsilon", "0.25",
+                         "--C", "6", "--seed", seed, "--out", str(cert)]) == 0
+            written.append(cert.read_bytes())
+        assert written[0] == written[1] != written[2]
+
     def test_embed_and_verify_print_one_length_line(self, tmp_path, capsys):
         host = write_instance(tmp_path, "host.txt", complete_graph(36))
         patt = write_instance(tmp_path, "patt.txt", complete_graph(3))

@@ -54,6 +54,15 @@ class TestTwoCliqueExtremal:
         assert all(not g.has_edge(u, v) for u in range(10) for v in range(10, 20))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 130])
+def test_row_builders_match_the_pair_built_graphs(n):
+    # both builders write bitmask rows; Graph.__init__ builds from the pairs
+    pairs = np.column_stack(np.triu_indices(n, k=1))
+    assert complete_graph(n) == complete_graph(np.int64(n)) == Graph(n, pairs)
+    assert (gen_two_clique_extremal(n) == gen_two_clique_extremal(np.int64(n))
+            == Graph(2 * n, np.concatenate((pairs, pairs + n))))
+
+
 class TestRandomRegular:
     def test_k4_is_unique_cubic(self):
         g = gen_random_regular(4, 3, seed=11)

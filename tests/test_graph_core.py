@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_subdiv import (Graph, degree_into, complete_graph,
-                          format_edge_list, induced, min_degree,
-                          parse_edge_list, to_dot)
+from dirac_subdiv import (Graph, block_partition, degree_into, complete_graph,
+                          format_edge_list, hamilton_path_between, induced,
+                          is_good_partition, min_degree, parse_edge_list, to_dot)
 
 from dirac_subdiv.generators import _complement
+from dirac_subdiv.graph import checked_ids
 from support import cycle_graph, path_graph
 
 
@@ -58,6 +59,12 @@ class TestGraphBasics:
         # and both are integers out of range
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Graph(3, edges)
+
+    @pytest.mark.parametrize("count", [2.7, "3", None])
+    def test_vertex_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="^vertex_count must be an integer$"):
+            Graph(count, [(0, 1)])
+        assert Graph(np.int64(3), [(0, 1)]) == Graph(3, [(0, 1)])
 
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
@@ -110,6 +117,29 @@ class TestDegreeInto:
         g = complete_graph(3)
         with pytest.raises(ValueError, match="member set contains out-of-range vertices"):
             degree_into(g, 0, members)
+
+
+class TestCheckedIds:
+    """Every function that takes a caller-given vertex set names an id
+    outside [0, N) through checked_ids."""
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize("call", [
+        lambda g, ids: induced(g, ids),
+        lambda g, ids: degree_into(g, 0, ids),
+        lambda g, ids: is_good_partition(g, complete_graph(2), [[0, 1, 2], ids], 0.5),
+        lambda g, ids: block_partition(g, ids, 3, [4], 0.9, 0.1),
+        lambda g, ids: hamilton_path_between(g, 3, 4, within=ids),
+    ], ids=["induced", "degree_into", "is_good_partition", "block_partition",
+            "hamilton_path_between"])
+    def test_out_of_range_id_is_named(self, call, bad):
+        with pytest.raises(ValueError, match="out-of-range"):
+            call(complete_graph(6), [3, 4, 5, bad])
+
+    def test_ids_ascending_without_repeats(self):
+        assert checked_ids(complete_graph(6), iter([5, 0, 3, 0, 5])) == [0, 3, 5]
+        with pytest.raises(ValueError, match="^part contains out-of-range vertices$"):
+            checked_ids(complete_graph(6), [6], "part")
 
 
 class TestInduced:

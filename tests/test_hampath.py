@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dirac_subdiv import (Graph, brute_force_hamilton_path, complete_graph,
                           hamilton_path_between, hampath, induced, min_degree)
+from dirac_subdiv.graph import mask_of
 from dirac_subdiv.hampath import is_simple_path
 from dirac_subdiv.rng import make_rng, spawn_seed
 
@@ -254,6 +255,25 @@ def via_induced(g, x, y, members):
     inv = sorted(index)
     p, stats = hamilton_path_between(sub, index[x], index[y], return_stats=True)
     return (None if p is None else [inv[v] for v in p]), stats
+
+
+class TestOreMiss:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 24), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_names_the_first_short_vertex(self, n, p, host_seed, data):
+        g = random_gnp(n, p, random.Random(host_seed))
+        members = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                     max_size=n, unique=True))
+        degrees = [(v, sum(g.has_edge(v, u) for u in members)) for v in members]
+        short = [(v, k) for v, k in degrees if k < (len(members) + 1) / 2]
+        miss = hampath.ore_miss(g.rows, members, mask_of(members))
+        assert miss == (short[0] if short else None)
+        # the exact DP on 15-20 vertices takes seconds; past 20 it is refused
+        if miss is None or len(members) < 15:
+            x, y = members[:2]
+            stats = hamilton_path_between(g, x, y, return_stats=True, within=members)[1]
+            assert stats["exact"] == (miss is not None)
 
 
 class TestWithin:
