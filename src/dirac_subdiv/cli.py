@@ -14,18 +14,21 @@ import sys
 from dataclasses import dataclass
 
 from .certificate import certificate_to_json, read_certificate, write_certificate
-from .embedder import (EmbedConfig, embed_subdivision, resolve_dimensions,
-                       stage_thresholds)
+from .embedder import (DRAW_COUNTS, EmbedConfig, embed_subdivision,
+                       resolve_dimensions, stage_thresholds)
 from .errors import GenerationError
 from .generators import (HostSpec, check_pattern_dimensions, complete_graph,
                          gen_dirac_host, gen_random_regular,
                          gen_two_clique_extremal)
-from .graph import _edge_list_blocks, read_edge_list, to_dot, write_edge_list
+from .graph import read_edge_list, to_dot, write_edge_list
 from .partition import check_blowup
 from .rng import spawn_seed
 from .verifier import verify_certificate
 
-HOST_KINDS = ("dirac", "complete", "two-clique")
+# sweep's host kinds, each the host of a cell's HostSpec by a builder read at call time
+HOSTS = {"dirac": lambda spec: gen_dirac_host(spec),
+         "complete": lambda spec: complete_graph(spec.N),
+         "two-clique": lambda spec: gen_two_clique_extremal(spec.N // 2)}  # a cell has n*d even
 # gen's kinds and the options each one needs
 GEN_NEEDS = {"dirac": ("n", "d", "C", "epsilon"), "regular": ("n", "d"),
              "complete": ("n",), "two-clique": ("n",)}
@@ -61,13 +64,7 @@ def _cmd_gen(args) -> int:
         spec = _host_cell(args.n, args.d, args.C, args.epsilon, args.seed)
         _warn_small_d(args.n, args.d)
         g = gen_dirac_host(spec)
-    if args.out:
-        write_edge_list(g, args.out)
-    elif hasattr(sys.stdout, "buffer"):  # bytes, so "\n" ends hold on every platform
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(_edge_list_blocks(g))
-    else:  # a text-only stream, such as io.StringIO
-        sys.stdout.writelines(block.decode("ascii") for block in _edge_list_blocks(g))
+    write_edge_list(g, args.out or sys.stdout)
     if args.dot:
         with open(args.dot, "w", encoding="ascii") as fh:
             fh.write(to_dot(g))
@@ -128,7 +125,7 @@ class SweepSpec:
             if not getattr(self, axis):
                 raise ValueError(f"empty sweep grid axis {axis}")
         for k in self.kinds:
-            if k not in HOST_KINDS:
+            if k not in HOSTS:
                 raise ValueError(f"unknown host kind {k!r}")
         for _, (_, n, d, C, eps) in self.cells():
             try:
@@ -151,22 +148,14 @@ class SweepResult:
 
 
 def _sweep_trial(kind: str, n: int, d: int, C: int, eps: float, seed: int) -> dict:
-    N = C * d * n
-    out = {"ok": False, "master": 0, "good_partition": 0, "block_levels": 0,
+    out = {"ok": False, "master": 0, **dict.fromkeys(DRAW_COUNTS, 0),
            "wall_s": 0.0, "error": None}
     try:
-        if kind == "complete":
-            host = complete_graph(N)
-        elif kind == "two-clique":  # SweepSpec makes n*d, so N, even
-            host = gen_two_clique_extremal(N // 2)
-        else:
-            host = gen_dirac_host(HostSpec(n, d, C, eps, seed))
+        host = HOSTS[kind](HostSpec(n, d, C, eps, seed))
         pattern = gen_random_regular(n, d, spawn_seed(seed, 0x33))
         rep = embed_subdivision(host, pattern, EmbedConfig(epsilon=eps, C=C, seed=seed))
         out.update(ok=rep.success, master=rep.master_attempts_used,
-                   good_partition=rep.stage_attempts["good_partition"],
-                   block_levels=rep.stage_attempts["block_levels"],
-                   wall_s=rep.wall_time_s)
+                   **rep.stage_attempts, wall_s=rep.wall_time_s)
     except GenerationError as e:
         out["error"] = str(e)
     return out
@@ -190,8 +179,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             "success_rate": succ / spec.trials,
         }
         for col, key, scale in (("mean_master", "master", 1),
-                                ("mean_good_partition", "good_partition", 1),
-                                ("mean_block_levels", "block_levels", 1),
+                                *((f"mean_{k}", k, 1) for k in DRAW_COUNTS),
                                 ("mean_wall_ms", "wall_s", 1000.0)):
             row[col] = scale * sum(t[key] for t in trials) / spec.trials
         rows.append(row)
@@ -293,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="success-rate grid experiment")
     p.add_argument("--host-kind", default="dirac",
-                   help="comma list from {dirac,complete,two-clique}")
+                   help=f"comma list from {{{','.join(HOSTS)}}}")
     p.add_argument("--n", required=True, help="comma list")
     p.add_argument("--d", required=True, help="comma list")
     p.add_argument("--C", required=True, help="comma list")

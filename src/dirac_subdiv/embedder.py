@@ -35,6 +35,10 @@ from .hampath import hamilton_path_between, ore_miss
 from .rng import spawn_seed
 from .verifier import PathLengthStats, verify_certificate
 
+# the keys of EmbedReport.stage_attempts; block_levels counts group draws, and
+# keeps its name because the sweep CSV header and the embed-near-bound digest pin it
+DRAW_COUNTS = ("good_partition", "block_levels")
+
 
 @dataclass
 class EmbedConfig:
@@ -203,18 +207,18 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
     are structurally unsuitable or the host misses the degree bound (the latter
     checked by good_partition). Every template passes check_template by
     construction, so a failed check is a bug: an AssertionError that names the
-    label and the witness.
+    label and the witness, by an explicit raise that python -O keeps.
 
-    When `counts` is given, every good-partition draw is added to
-    counts["good_partition"] and every block-partition group draw to
-    counts["block_levels"] as it happens, so the tally survives a raise.
+    When `counts`, keyed by DRAW_COUNTS, is given, every good-partition draw
+    and every block-partition group draw is added to its key as it happens,
+    so the tally survives a raise.
     """
     n, _, _ = resolve_dimensions(g, h, cfg)
-    if counts is None:
-        counts = {"good_partition": 0, "block_levels": 0}
+    counts = dict.fromkeys(DRAW_COUNTS, 0) if counts is None else counts
+    good_key, block_key = DRAW_COUNTS
 
     (alpha1, delta1), (alpha2, delta2) = stage_thresholds(cfg.epsilon)
-    gp = _counted(counts, "good_partition", good_partition,
+    gp = _counted(counts, good_key, good_partition,
                   g, h, alpha1, delta1, seed=spawn_seed(cfg.seed, 0x21))
 
     branch, connectors = _select_connectors_and_branch(g, h, gp.parts)
@@ -224,7 +228,7 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
         nbrs = sorted(h.neighbors(i))
         conns = [connectors[(i, j)] for j in nbrs]
         bp = _counted(
-            counts, "block_levels", block_partition,
+            counts, block_key, block_partition,
             g, gp.parts[i], branch[i], conns,
             alpha=alpha2, delta=delta2,
             seed=spawn_seed(cfg.seed, 0x22, i),
@@ -235,7 +239,8 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
 
     template = Template(branch, connectors, blocks)
     check = check_template(g, h, template)
-    assert check.ok, f"template self-check failed: {check.label}: {check.witness}"
+    if not check.ok:
+        raise AssertionError(f"template self-check failed: {check.label}: {check.witness}")
     return template
 
 
@@ -335,14 +340,14 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
     Input shape problems (non-regular pattern, order mismatch) raise
     ValueError. A host that is not dense enough, or partition stages out of
     draws in every master attempt, give a failed report naming the stage. A
-    success report's certificate has been verified spanning; a failed
-    verification is a bug and raises AssertionError naming the checks, by
-    an explicit raise that python -O keeps.
+    success report's certificate has been verified spanning; a block without
+    a Hamilton path or a failed verification is a bug and raises
+    AssertionError naming it, by an explicit raise that python -O keeps.
     """
     t0 = time.perf_counter()
     n, d, C = resolve_dimensions(g, h, cfg)
     N = g.n
-    attempts = {"good_partition": 0, "block_levels": 0}
+    attempts = dict.fromkeys(DRAW_COUNTS, 0)
     failures: list[str] = []
 
     def report(success, used, stage=None, detail=None, stats=None, cert=None):
@@ -374,7 +379,8 @@ def embed_subdivision(g: Graph, h: Graph, cfg: EmbedConfig) -> EmbedReport:
             path, _ = hamilton_path_between(
                 g, template.branch[i], template.connectors[(i, j)],
                 return_stats=True, within=blk)
-            assert path is not None, f"no Hamilton path in block {(i, j)}"
+            if path is None:
+                raise AssertionError(f"no Hamilton path in block {(i, j)}")
             half_paths[(i, j)] = path
 
         # the verifier below is the check of every glued path

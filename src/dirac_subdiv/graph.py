@@ -15,10 +15,12 @@ a line end), so the writer's memory is bounded by the block, not the text.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 from array import array
 from collections.abc import Iterable, Iterator
+from typing import TextIO
 
 import numpy as np
 
@@ -40,23 +42,24 @@ class Graph:
         n = int(vertex_count)
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
         uv = np.asarray(edges)
-        # numpy infers no integer type from a float or string id, an id past
-        # int64 or an empty list; only such input has its ids type-checked
+        if uv.size and (uv.ndim != 2 or uv.shape[1] != 2):
+            raise ValueError("edges must be (u, v) pairs")
+        # numpy infers no signed integer type from a float or string id, an id
+        # past int64 or an empty list; only such input has its ids type-checked,
+        # as Python values, whose cast past int64 raises where uint64's wraps
         if uv.dtype.kind != "i":
-            if uv.ndim == 2 and uv.shape[1] == 2:
-                ints = (int, np.integer)
-                for u, v in edges.tolist() if isinstance(edges, np.ndarray) else edges:
-                    if not (isinstance(u, ints) and isinstance(v, ints)):
-                        raise ValueError(f"edge ({u!r},{v!r}) has an id that is not an integer")
+            pairs = edges.tolist() if isinstance(edges, np.ndarray) else edges
+            ints = (int, np.integer)
+            for u, v in pairs:
+                if not (isinstance(u, ints) and isinstance(v, ints)):
+                    raise ValueError(f"edge ({u!r},{v!r}) has an id that is not an integer")
             try:
-                uv = np.asarray(edges, np.int64)
+                uv = np.asarray(pairs, np.int64)
             except OverflowError:  # an id past int64, so past n unless n is too
-                bad = next(((u, v) for u, v in edges
+                bad = next(((u, v) for u, v in pairs
                             if not (0 <= u < n and 0 <= v < n)), None)
                 raise (_too_large(n) if bad is None else _out_of_range(*bad, n)) from None
         uv = uv.astype(np.int64, copy=False)
-        if uv.size and (uv.ndim != 2 or uv.shape[1] != 2):
-            raise ValueError("edges must be (u, v) pairs")
         u, v = uv.reshape(-1, 2).T
         if uv.size and (uv.min() < 0 or uv.max() >= n):  # the masks name the first offender
             out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
@@ -110,21 +113,16 @@ class Graph:
         return self._masks
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(bits(self._masks[v]))
+        return tuple(bits(self._masks[self._vertex(v)]))
 
     def neighbor_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._masks[v]
+        return self._masks[self._vertex(v)]
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._masks[v].bit_count()
+        return self._masks[self._vertex(v)].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self._masks[u] >> v & 1)
+        return bool(self._masks[self._vertex(u)] >> self._vertex(v) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -135,9 +133,13 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self._n) - 1
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self._n):
+    def _vertex(self, v: int) -> int:
+        """v as a plain int, not a numpy int64 that overflows a shift; a
+        ValueError when it lies outside [0, n)."""
+        i = operator.index(v)
+        if not (0 <= i < self._n):
             raise ValueError(f"vertex {v} out of range for {self._n} vertices")
+        return i
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -203,9 +205,9 @@ def degree_into(g: Graph, v: int, members: Iterable[int] | int) -> int:
 
 
 def checked_ids(g: Graph, ids: Iterable[int], what: str = "member set") -> list[int]:
-    """The ids of a caller-given vertex set of g, ascending and without
+    """The ids of a caller-given vertex set of g as plain ints, ascending, no
     repeats; a ValueError names the set `what` when one lies outside [0, N)."""
-    vs = sorted(set(ids))
+    vs = sorted(set(map(operator.index, ids)))
     if vs and not (0 <= vs[0] and vs[-1] < g.n):
         raise ValueError(f"{what} contains out-of-range vertices")
     return vs
@@ -338,10 +340,17 @@ def _read_lines(text: str) -> Graph:
     return Graph(n, uv)
 
 
-def write_edge_list(g: Graph, path: str | os.PathLike) -> None:
-    # binary, so the "\n" line ends hold on every platform
-    with open(path, "wb") as fh:
-        fh.writelines(_edge_list_blocks(g))
+def write_edge_list(g: Graph, out: str | bytes | os.PathLike | TextIO) -> None:
+    """Write g's edge list to a path, or to an open text stream: to its byte
+    buffer, so "\n" line ends hold everywhere, else as ASCII text (io.StringIO)."""
+    if isinstance(out, (str, bytes, os.PathLike)):
+        with open(out, "wb") as fh:
+            fh.writelines(_edge_list_blocks(g))
+    elif hasattr(out, "buffer"):
+        out.flush()  # text already written goes first
+        out.buffer.writelines(_edge_list_blocks(g))
+    else:
+        out.writelines(block.decode("ascii") for block in _edge_list_blocks(g))
 
 
 def read_edge_list(path: str | os.PathLike) -> Graph:

@@ -14,6 +14,8 @@ limited to EXACT_THRESHOLD vertices, and a larger such set is a ValueError.
 
 from __future__ import annotations
 
+import operator
+
 from .graph import Graph, bits, checked_ids, induced, mask_of
 # spawn_seed is unused here; perfbench/spans.py traces it as hampath.spawn_seed
 from .rng import spawn_seed
@@ -135,6 +137,7 @@ def hamilton_path_between(g: Graph, x: int, y: int, return_stats: bool = False,
     With return_stats=True returns (path, stats) where stats reads
     restarts 0 and whether the exact DP ran.
     """
+    x, y = operator.index(x), operator.index(y)  # plain ints for the row shifts
     vs = _path_vertices(g, x, y, within)
     exact = ore_miss(g.rows, vs, mask_of(vs)) is not None
     if not exact:

@@ -30,6 +30,7 @@ _swap_repair scores swaps on them.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, product
@@ -282,7 +283,7 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     tie. A swap's change is exact, so none falls below minus the total: the
     scan stops at the first swap that clears the pair, which is the swap
     the full scan picks. The pass returns the pair at zero shortfall (both
-    sets pass), and None when no swap reduces it or after |A|+|B| swaps.
+    sets pass), and None when no swap reduces it.
 
     A swap moves every other count by at most one: a fall costs one on a
     vertex at or below its bound, a rise saves one below it. So a swap's
@@ -304,7 +305,7 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     counts = [{v: (rows[v] & m).bit_count() for v in tracked}
               for m in (mask_of(members[0]), mask_of(members[1]))]
 
-    for _ in range(len(pool)):
+    while True:  # each step lowers the integer shortfall by at least one
         # per side, the vertices below their bound (rise) and those at it (exact)
         rise, exact, total = [0, 0], [0, 0], 0
         for s in (0, 1):
@@ -352,7 +353,6 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
             change = (rb >> v & 1) - (ra >> v & 1)
             counts[0][v] += change
             counts[1][v] -= change
-    return None
 
 
 def check_blowup(C: int, alpha: float, delta: float) -> None:
@@ -404,6 +404,7 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     if level_budget < 1:
         raise ValueError("level_budget must be >= 1")
     group = checked_ids(g, group, "group")
+    center, connectors = operator.index(center), [*map(operator.index, connectors)]
     gmask = mask_of(group)
     d = len(connectors)
     if d < 1:

@@ -575,6 +575,24 @@ class TestSweep:
         assert out.splitlines()[1].split(",")[8] == "2"  # the errors column
         assert "note:" not in err
 
+    @pytest.mark.parametrize("kind, builder, arg", [
+        # the one trial of cell 0 at seed base 0
+        ("dirac", "gen_dirac_host", cli.HostSpec(3, 2, 6, 0.4, cli.spawn_seed(0, 0, 0))),
+        ("complete", "complete_graph", 36),
+        ("two-clique", "gen_two_clique_extremal", 18),
+    ])
+    def test_host_kinds_read_their_builder_at_call_time(self, monkeypatch, kind, builder, arg):
+        # a replaced cli.<builder> sees the sweep's call, as the bench tracer needs
+        seen = []
+
+        def stub(x):
+            seen.append(x)
+            raise cli.GenerationError("stub host")
+        monkeypatch.setattr(cli, builder, stub)
+        spec = SweepSpec(kinds=(kind,), ns=(3,), ds=(2,), Cs=(6,), epsilons=(0.4,), trials=1)
+        assert run_sweep(spec).rows[0]["errors"] == 1
+        assert seen == [arg]
+
     def test_non_monotone_rates_give_a_note(self, monkeypatch, capsys):
         def trial(kind, n, d, C, eps, seed):
             return {"ok": eps < 0.4, "master": 1, "good_partition": 1,

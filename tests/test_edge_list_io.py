@@ -1,6 +1,8 @@
 """The vectorised edge-list path: Graph construction from pairs or arrays,
 the formatter, and the parser checked against a line-by-line reference."""
 
+import io
+import os
 import re
 import tracemalloc
 
@@ -163,6 +165,25 @@ class TestFormat:
         assert parse_edge_list(text) == g
         write_edge_list(g, tmp_path / "g.txt")
         assert (tmp_path / "g.txt").read_bytes() == text.encode()
+
+    def test_writes_to_a_path_or_a_stream(self, tmp_path):
+        g = sampled_graph(101)
+        data = format_edge_list(g).encode()
+        for path in (str(tmp_path / "a.txt"), tmp_path / "b.txt",
+                     os.fsencode(tmp_path / "c.txt")):
+            write_edge_list(g, path)
+            assert (tmp_path / os.fsdecode(path)).read_bytes() == data
+        # a text stream's byte buffer takes the bytes, after the text already
+        # written and untranslated by the stream's newline setting
+        raw = io.BytesIO()
+        stream = io.TextIOWrapper(raw, encoding="ascii", newline="\r\n")
+        stream.write("x")
+        write_edge_list(g, stream)
+        assert raw.getvalue() == b"x" + data
+        # a stream without a buffer takes ASCII text
+        text = io.StringIO()
+        write_edge_list(g, text)
+        assert text.getvalue() == data.decode()
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_write_memory_stays_bounded(self, n, tmp_path):

@@ -21,6 +21,32 @@ from dirac_subdiv.generators import dirac_degree_bound
 from support import complete_minus, path_graph
 
 
+def embed_under_optimize(stub):
+    """What a python -O run prints that runs the code stub, then embeds K3 in
+    K36: 'raised: <message>' for an AssertionError, else 'reported: <success>
+    <stage>'. The run must exit 0, which it does only with asserts stripped."""
+    script = (
+        "from dirac_subdiv import EmbedConfig, complete_graph, embedder\n"
+        "from dirac_subdiv.embedder import TemplateCheck\n"
+        f"{stub}\n"
+        "assert False, 'assert statements are live'\n"
+        "try:\n"
+        "    rep = embedder.embed_subdivision(\n"
+        "        complete_graph(36), complete_graph(3),\n"
+        "        EmbedConfig(epsilon=0.3, C=6, seed=2, master_attempts=3))\n"
+        "except AssertionError as e:\n"
+        "    print('raised:', e)\n"
+        "else:\n"
+        "    print('reported:', rep.success, rep.failure_stage)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def template_copy(t, branch=None, connectors=None, blocks=None):
     return Template(
         branch=branch if branch is not None else t.branch,
@@ -535,32 +561,27 @@ class TestAttemptCounts:
         assert verified == [{"require_spanning": True}]
 
     def test_rejected_certificate_raises_under_optimize(self):
-        # python -O strips assert statements, the template and path checks
-        # among them; the verification gate must still stop the report
-        script = (
-            "from dirac_subdiv import EmbedConfig, complete_graph, embedder\n"
+        # python -O strips assert statements; the verification gate must
+        # still stop the report
+        out = embed_under_optimize(
             "real = embedder.verify_certificate\n"
             "def reject(*args, **kwargs):\n"
             "    vr = real(*args, **kwargs)\n"
             "    vr.checks.append(('forced-check', False, None))\n"
             "    return vr\n"
-            "embedder.verify_certificate = reject\n"
-            "assert False, 'assert statements are live'\n"
-            "try:\n"
-            "    rep = embedder.embed_subdivision(\n"
-            "        complete_graph(36), complete_graph(3),\n"
-            "        EmbedConfig(epsilon=0.3, C=6, seed=2, master_attempts=3))\n"
-            "except AssertionError as e:\n"
-            "    print('raised:', e)\n"
-            "else:\n"
-            "    print('reported:', rep.success, rep.failure_stage)\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        done = subprocess.run([sys.executable, "-O", "-c", script],
-                              env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("raised: ") and "forced-check" in done.stdout
+            "embedder.verify_certificate = reject")
+        assert out.startswith("raised: ") and "forced-check" in out
+
+    @pytest.mark.parametrize("stub, message", [
+        ("embedder.check_template = lambda g, h, t: TemplateCheck(False, 'forced', 'w-7')",
+         "template self-check failed: forced: w-7"),
+        ("embedder.hamilton_path_between = lambda *a, **k: (None, {})",
+         "no Hamilton path in block (0, 1)"),
+    ], ids=["template-check", "hamilton-path"])
+    def test_self_checks_raise_under_optimize(self, stub, message):
+        # the template check and the Hamilton stage are explicit raises too,
+        # so a failed one stops the run under python -O as it does without
+        assert embed_under_optimize(stub) == f"raised: {message}\n"
 
     def test_counts_match_draws_near_the_cliff(self, monkeypatch):
         # a complete multipartite host at the degree bound (n=16, C=12,

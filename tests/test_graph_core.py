@@ -52,11 +52,16 @@ class TestGraphBasics:
         ([(0, 5), (0, 1.5)], "edge (0,1.5) has an id that is not an integer"),
         ([(0, 1), (0, 2 ** 63)], "edge (0,9223372036854775808) out of range for 3 vertices"),
         ([(0, 1), (0, 2 ** 70)], f"edge (0,{2 ** 70}) out of range for 3 vertices"),
+        (np.array([[0, 2 ** 63]], np.uint64),
+         "edge (0,9223372036854775808) out of range for 3 vertices"),
+        (np.array([[0, 2 ** 64 - 1]], np.uint64),
+         "edge (0,18446744073709551615) out of range for 3 vertices"),
     ])
     def test_first_bad_edge_is_named(self, edges, message):
-        # an id is never truncated or parsed to an integer; numpy infers
-        # float64 for a list holding 2**63 and object for one holding 2**70,
-        # and both are integers out of range
+        # an id is never truncated, wrapped or parsed to an integer; numpy
+        # infers float64 for a list holding 2**63 and object for one holding
+        # 2**70, and both are integers out of range; a uint64 array's ids are
+        # read as Python ints, since its cast to int64 would wrap
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Graph(3, edges)
 
@@ -135,6 +140,29 @@ class TestCheckedIds:
     def test_out_of_range_id_is_named(self, call, bad):
         with pytest.raises(ValueError, match="out-of-range"):
             call(complete_graph(6), [3, 4, 5, bad])
+
+    @pytest.mark.parametrize("call", [
+        lambda ids, i: degree_into(complete_graph(130), 0, ids(60, 130)),
+        lambda ids, i: is_good_partition(complete_graph(130), complete_graph(2),
+                                         [ids(0, 65), ids(65, 130)], 0.5),
+        lambda ids, i: hamilton_path_between(complete_graph(130), i(64), i(100),
+                                             within=ids(60, 130)),
+        lambda ids, i: block_partition(complete_graph(200), ids(100, 196), i(100),
+                                       [i(101), i(102)], alpha=0.7, delta=0.2),
+        lambda ids, i: complete_graph(130).has_edge(0, i(100)),
+    ], ids=["degree_into", "is_good_partition", "hamilton_path_between",
+            "block_partition", "has_edge"])
+    def test_numpy_ids_give_the_plain_int_result(self, call):
+        # numpy ids are read as plain ints, so no id past 62 overflows an
+        # int64 shift and a mask of them covers what the plain ids cover
+        plain = call(lambda a, b: list(range(a, b)), int)
+        assert call(np.arange, np.int64) == plain
+
+    def test_float_id_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            complete_graph(3).has_edge(0, 1.0)
+        with pytest.raises(TypeError):
+            degree_into(complete_graph(3), 0, [1, 2.0])
 
     def test_ids_ascending_without_repeats(self):
         assert checked_ids(complete_graph(6), iter([5, 0, 3, 0, 5])) == [0, 3, 5]
