@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 
@@ -30,19 +31,34 @@ class SubdivisionCertificate:
         return sorted(self.edge_paths.items())
 
 
+def as_ints(ids, not_int: list) -> list:
+    """A sequence of ids as the ints operator.index reads, so numpy integers
+    too; an id it cannot read, such as 2.0, "3" or None, reads as None and
+    is appended to not_int."""
+    try:
+        return list(map(operator.index, ids))
+    except TypeError:
+        not_int.extend(v for v in ids if not hasattr(v, "__index__"))
+        return [operator.index(v) if hasattr(v, "__index__") else None for v in ids]
+
+
 def certificate_to_json(cert: SubdivisionCertificate) -> str:
+    """The canonical document, each id the int it names; ValueError if one names none."""
+    not_int: list = []
     doc = {
         "format": FORMAT_TAG,
         "version": FORMAT_VERSION,
         "host_vertex_count": cert.host_vertex_count,
         "pattern_vertex_count": cert.pattern.n,
         "pattern_edges": [[u, v] for u, v in cert.pattern.edges()],
-        "branch_map": list(cert.branch_map),
+        "branch_map": as_ints(cert.branch_map, not_int),
         "edge_paths": [
-            {"edge": [i, j], "vertices": list(path)}
+            {"edge": as_ints((i, j), not_int), "vertices": as_ints(path, not_int)}
             for (i, j), path in cert.paths_sorted()
         ],
     }
+    if not_int:
+        raise ValueError(f"certificate id {not_int[0]!r} is not an integer")
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 

@@ -21,6 +21,7 @@ certificate always verifies: a rejected one is a bug, not a retry.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -272,8 +273,9 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
                 False, "structure",
                 f"block ({i},{j}) missing its branch or connector vertex")
 
-    # every id in range before any 1 << v, then one mask per block and group
-    blocks = t.blocks
+    # each id as the int it names (1 << np.int64(v) wraps), every id in range
+    # before any 1 << v, then one mask per block and group
+    blocks = {k: tuple(map(operator.index, blk)) for k, blk in t.blocks.items()}
     in_range = all(0 <= min(blk) and max(blk) < g.n for blk in blocks.values())
     masks = {k: mask_of(blk) for k, blk in blocks.items()} if in_range else {}
     group = [0] * n

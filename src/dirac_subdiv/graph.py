@@ -75,13 +75,7 @@ class Graph:
             touched[u] = touched[v] = True
             slot = np.cumsum(touched) - 1
             adj = np.zeros((int(slot[-1]) + 1, n), bool)
-            cells = adj.reshape(-1)
-            for a, b in ((u, v), (v, u)):  # set cell (slot[a], b), indexed flat
-                i = slot[a]
-                i *= n
-                i += b
-                cells[i] = True
-                del i  # before the next slot[a] is built
+            adj[slot[u], v] = adj[slot[v], u] = True
             for i, row in zip(np.flatnonzero(touched).tolist(), pack_rows(adj)):
                 masks[i] = row
         self._store(masks)

@@ -300,17 +300,15 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
                 if v not in t or b > t[v]:
                     t[v] = b
     fixed = [t.keys() - set(pool) for t in bound]  # the W vertices each side binds
-    tracked = bound[0].keys() | bound[1].keys()
     members = [sorted(sides[0][1]), sorted(sides[1][1])]
-    counts = [{v: (rows[v] & m).bit_count() for v in tracked}
-              for m in (mask_of(members[0]), mask_of(members[1]))]
 
     while True:  # each step lowers the integer shortfall by at least one
+        m = [mask_of(members[0]), mask_of(members[1])]
         # per side, the vertices below their bound (rise) and those at it (exact)
         rise, exact, total = [0, 0], [0, 0], 0
         for s in (0, 1):
             for v in (*members[s], *fixed[s]):
-                gap = bound[s][v] - counts[s][v]
+                gap = bound[s][v] - (rows[v] & m[s]).bit_count()
                 if gap > 0:
                     total += gap
                     rise[s] |= 1 << v
@@ -327,9 +325,10 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         for s in (0, 1):
             o = 1 - s
             for v in members[s]:
-                r, gap = rows[v], bound[o][v] - counts[o][v]  # on the side v joins
+                r = rows[v]
+                gap = bound[o][v] - (r & m[o]).bit_count()  # on the side v joins
                 base = ((r & fall[s]).bit_count() - (r & rise[o]).bit_count()
-                        - max(0, bound[s][v] - counts[s][v]))
+                        - max(0, bound[s][v] - (r & m[s]).bit_count()))
                 own[s].append((v, r, (base + max(0, gap),
                                       base + max(0, gap + 1) + (rise[s] >> v & 1))))
         best, best_pair = 0, None
@@ -348,11 +347,6 @@ def _swap_repair(rows, sides) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         members = [sorted({*members[0], b} - {a}), sorted({*members[1], a} - {b})]
         if total + best == 0:
             return tuple(members[0]), tuple(members[1])
-        ra, rb = rows[a], rows[b]
-        for v in tracked:
-            change = (rb >> v & 1) - (ra >> v & 1)
-            counts[0][v] += change
-            counts[1][v] -= change
 
 
 def check_blowup(C: int, alpha: float, delta: float) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .certificate import SubdivisionCertificate
+from .certificate import SubdivisionCertificate, as_ints
 from .graph import Graph
 
 CHECK_NAMES = (
@@ -90,6 +90,11 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
                        require_spanning: bool = True) -> VerifyReport:
     """Re-check every certificate property against g and h from scratch."""
     checks: list[tuple[str, bool, str | None]] = []
+    # each id once as the int it names; one that names none reads as None,
+    # which shape names and no check compares or shifts
+    not_int: list = []
+    branch_map = as_ints(cert.branch_map, not_int)
+    paths = [(key, as_ints(p, not_int)) for key, p in cert.paths_sorted()]
 
     # shape: counts match, pattern edge lists agree, one path per pattern
     # edge, all ids in range
@@ -108,12 +113,14 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
         missing = sorted(expected_edges - got_edges)
         extra = sorted(got_edges - expected_edges)
         shape_problems.append(f"edge paths missing {missing} extra {extra}")
-    if len(cert.branch_map) != h.n:
+    if len(branch_map) != h.n:
         shape_problems.append(
-            f"branch map has {len(cert.branch_map)} entries, want {h.n}")
+            f"branch map has {len(branch_map)} entries, want {h.n}")
+    if not_int:
+        shape_problems.append(f"non-integer vertex ids {not_int[:5]}")
     bad_ids = sorted(
-        {v for v in cert.branch_map if not (0 <= v < g.n)}
-        | {v for p in cert.edge_paths.values() for v in p if not (0 <= v < g.n)}
+        {v for v in branch_map if v is not None and not 0 <= v < g.n}
+        | {v for _, p in paths for v in p if v is not None and not 0 <= v < g.n}
     )
     if bad_ids:
         shape_problems.append(f"out-of-range vertex ids {bad_ids[:5]}")
@@ -123,25 +130,23 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
     # (a) branch map injective
     seen: dict[int, int] = {}
     dup = None
-    for i, v in enumerate(cert.branch_map):
+    for i, v in enumerate(branch_map):
         if v in seen:
             dup = f"pattern vertices {seen[v]} and {i} both map to host vertex {v}"
             break
         seen[v] = i
     checks.append(("branch-injective", dup is None, dup))
 
-    paths = cert.paths_sorted()
-
     # (b) endpoints
     witness = None
-    k = len(cert.branch_map)
+    k = len(branch_map)
     for (i, j), p in paths:
         if not (0 <= i < k and 0 <= j < k) or len(p) < 2:
             witness = f"edge ({i},{j}) path unusable for endpoint check"
             break
-        if p[0] != cert.branch_map[i] or p[-1] != cert.branch_map[j]:
+        if p[0] != branch_map[i] or p[-1] != branch_map[j]:
             witness = (f"edge ({i},{j}) path runs {p[0]}..{p[-1]}, "
-                       f"want {cert.branch_map[i]}..{cert.branch_map[j]}")
+                       f"want {branch_map[i]}..{branch_map[j]}")
             break
     checks.append(("endpoints", witness is None, witness))
 
@@ -150,7 +155,8 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
     n, rows = g.n, g.rows
     for (i, j), p in paths:
         for u, v in zip(p, p[1:]):
-            if not (0 <= u < n and 0 <= v < n and rows[u] >> v & 1):
+            if not (None not in (u, v) and 0 <= u < n and 0 <= v < n
+                    and rows[u] >> v & 1):
                 witness = f"edge ({i},{j}) path uses non-edge ({u},{v})"
                 break
         if witness:
@@ -168,7 +174,7 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
 
     # (e) interiors pairwise disjoint and avoiding all branch vertices
     witness = None
-    branch_set = set(cert.branch_map)
+    branch_set = set(branch_map)
     owner: dict[int, tuple[int, int]] = {}
     for (i, j), p in paths:
         for v in p[1:-1]:
@@ -185,7 +191,7 @@ def verify_certificate(g: Graph, h: Graph, cert: SubdivisionCertificate,
 
     # (f) spanning
     if require_spanning:
-        covered = set(cert.branch_map)
+        covered = set(branch_map)
         for _, p in paths:
             covered.update(p)
         missing = [v for v in range(g.n) if v not in covered]

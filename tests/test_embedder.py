@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,8 @@ from dirac_subdiv import (EmbedConfig, Graph,
                           certificate_to_json, check_template, complete_graph,
                           embed_subdivision, gen_dirac_host,
                           gen_random_regular, gen_two_clique_extremal,
-                          HostSpec, PartitionError, interval_tree,
-                          verify_certificate)
+                          HostSpec, PartitionError, SubdivisionCertificate,
+                          interval_tree, verify_certificate)
 from dirac_subdiv.embedder import TemplateCheck, _select_connectors_and_branch
 from dirac_subdiv.generators import dirac_degree_bound
 
@@ -176,6 +177,25 @@ class TestCheckTemplate:
         chk = check_template(g, h, template_copy(t, blocks=blocks))
         assert not chk.ok and chk.label == "cover"
         assert chk.witness == "missing [7] extra []"
+
+    def test_numpy_ids_are_read_as_ints(self):
+        # 1 << np.int64(v) wraps past bit 63: ids of K144 must read as ints,
+        # and a dropped block vertex must still fail cover by name
+        g, h = complete_graph(144), complete_graph(4)
+        t = build_template(g, h, EmbedConfig(epsilon=0.3, C=12, seed=1))
+        as_np = Template(tuple(map(np.int64, t.branch)),
+                         {k: np.int64(v) for k, v in t.connectors.items()},
+                         {k: tuple(map(np.int64, b)) for k, b in t.blocks.items()})
+        assert check_template(g, h, as_np).ok
+        key = max(t.blocks)
+        victim = max(v for v in t.blocks[key]
+                     if v not in (t.branch[key[0]], t.connectors[key]))
+        assert victim >= 64
+        blocks = dict(as_np.blocks)
+        blocks[key] = tuple(v for v in blocks[key] if v != victim)
+        chk = check_template(g, h, template_copy(as_np, blocks=blocks))
+        assert not chk.ok and chk.label == "cover"
+        assert chk.witness == f"missing [{victim}] extra []"
 
     def test_cross_group_overlap(self):
         g, h, t = self.base()
@@ -490,6 +510,21 @@ class TestCertificateSerialization:
         back = certificate_from_json(text)
         assert back == cert
         assert certificate_to_json(back) == text
+
+    def test_numpy_ids_write_the_plain_int_document(self):
+        g, h = complete_graph(144), complete_graph(4)
+        cert = embed_subdivision(g, h, EmbedConfig(epsilon=0.3, C=12, seed=1)).certificate
+        as_np = SubdivisionCertificate(
+            cert.host_vertex_count, cert.pattern, tuple(map(np.int64, cert.branch_map)),
+            {(np.int64(i), np.int64(j)): tuple(map(np.int64, p))
+             for (i, j), p in cert.edge_paths.items()})
+        assert certificate_to_json(as_np) == certificate_to_json(cert)
+
+    @pytest.mark.parametrize("bad", [7.0, "7", None])
+    def test_non_integer_id_is_not_written(self, bad):
+        cert = SubdivisionCertificate(8, complete_graph(2), (0, bad), {(0, 1): (0, 7)})
+        with pytest.raises(ValueError, match=re.escape(f"certificate id {bad!r} is not an integer")):
+            certificate_to_json(cert)
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):

@@ -661,8 +661,8 @@ def judged(rows, sides, pair):
 
 class TestSwapRepair:
     def test_matches_exhaustive_rescoring(self):
-        # the incremental scores pick the same swaps as recounting every
-        # candidate from scratch, so the bookkeeping is exact: on block
+        # the kernel's swap scores pick the same swaps as recounting every
+        # candidate from scratch, so each score is the exact change: on block
         # pairs in index order and against it, as the group repair pairs a
         # failing block with any other block of its group; the kernel
         # returns the final pair exactly when both blocks pass

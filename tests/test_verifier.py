@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dirac_subdiv import (Graph, SubdivisionCertificate, complete_graph,
@@ -102,6 +103,30 @@ class TestShapeCheck:
         witness = f"edge ({key[0]},{key[1]}) path unusable for endpoint check"
         assert ("endpoints", False, witness) in rep.checks
         assert "shape" in rep.failed()
+
+    @pytest.mark.parametrize("bad", [np.int64, 2.0, "3", None],
+                             ids=["np.int64", "float", "str", "None"])
+    def test_ids_read_as_the_ints_they_name(self, bad):
+        # numpy integer ids are the ints they name, also past bit 63 of a
+        # row; an id that names no int fails shape by name, and nothing raises
+        if bad is np.int64:
+            k70 = complete_graph(70)
+            cert = SubdivisionCertificate(70, path_graph(3), (0, 35, 69),
+                                          {(0, 1): tuple(range(36)),
+                                           (1, 2): tuple(range(35, 70))})
+            as_np = SubdivisionCertificate(
+                70, cert.pattern, tuple(map(np.int64, cert.branch_map)),
+                {k: tuple(map(np.int64, p)) for k, p in cert.edge_paths.items()})
+            rep = verify_certificate(k70, path_graph(3), as_np)
+            assert rep.ok and rep.checks == verify_certificate(
+                k70, path_graph(3), cert).checks
+            return
+        host, pattern, cert = valid_base_certificate()
+        broken = SubdivisionCertificate(
+            cert.host_vertex_count, cert.pattern, cert.branch_map,
+            {(0, 1): (0, 1, bad, 3), (1, 2): cert.edge_paths[(1, 2)]})
+        rep = verify_certificate(host, pattern, broken)
+        assert ("shape", False, f"non-integer vertex ids [{bad!r}]") in rep.checks
 
     def test_problems_reported_never_raised(self):
         host, pattern, cert = valid_base_certificate()
