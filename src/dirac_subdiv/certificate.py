@@ -10,11 +10,10 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, as_ints
 
 FORMAT_TAG = "dirac-subdiv-certificate"
 FORMAT_VERSION = 1
@@ -29,17 +28,6 @@ class SubdivisionCertificate:
 
     def paths_sorted(self) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
         return sorted(self.edge_paths.items())
-
-
-def as_ints(ids, not_int: list) -> list:
-    """A sequence of ids as the ints operator.index reads, so numpy integers
-    too; an id it cannot read, such as 2.0, "3" or None, reads as None and
-    is appended to not_int."""
-    try:
-        return list(map(operator.index, ids))
-    except TypeError:
-        not_int.extend(v for v in ids if not hasattr(v, "__index__"))
-        return [operator.index(v) if hasattr(v, "__index__") else None for v in ids]
 
 
 def certificate_to_json(cert: SubdivisionCertificate) -> str:

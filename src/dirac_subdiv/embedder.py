@@ -21,16 +21,17 @@ certificate always verifies: a rejected one is a bug, not a retry.
 
 from __future__ import annotations
 
-import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .certificate import SubdivisionCertificate
 from .errors import PartitionError
 from .generators import check_pattern_dimensions, dirac_degree_bound
 # induced is unused here; perfbench/spans.py traces it as embedder.induced
-from .graph import Graph, induced, mask_of, min_degree, regular_degree
+from .graph import Graph, as_ints, induced, mask_of, min_degree, regular_degree
 from .partition import block_partition, check_blowup, good_partition
 from .hampath import hamilton_path_between, ore_miss
 from .rng import spawn_seed
@@ -60,6 +61,10 @@ class EmbedConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
+        if not (self.C is None or isinstance(self.C, (int, np.integer))):
+            raise ValueError("C must be an integer")
+        if not isinstance(self.master_attempts, (int, np.integer)):
+            raise ValueError("master_attempts must be an integer")
         if self.master_attempts < 1:
             raise ValueError("master_attempts must be >= 1")
 
@@ -248,8 +253,9 @@ def build_template(g: Graph, h: Graph, cfg: EmbedConfig,
 def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
     """Check the template properties, reporting the first violation.
 
-    Checked in order: structural consistency (distinct branch/connector
-    vertices sitting in their blocks, one block per pattern edge end), host
+    Checked in order: structure (one block per pattern edge end, distinct
+    branch/connector vertices, integer ids else "non-integer vertex ids" as
+    the verifier says, each block holding its branch and connector), host
     cover, disjointness across groups, the within-group rule that blocks of
     one group pairwise share exactly the branch vertex, block sizes in
     [C, C+1] for C = N // #blocks, [C, C+2] if #blocks does not divide N,
@@ -257,8 +263,9 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
     """
     n = h.n
     expected = {(i, j) for i in range(n) for j in h.neighbors(i)}
+    keys = sorted(expected)
 
-    specials = list(t.branch) + [t.connectors.get(k) for k in sorted(expected)]
+    specials = list(t.branch) + [t.connectors.get(k) for k in keys]
     if (len(t.branch) != n
             or set(t.connectors.keys()) != expected
             or set(t.blocks.keys()) != expected
@@ -266,16 +273,20 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
             or len(set(specials)) != len(specials)):
         return TemplateCheck(False, "structure",
                              "branch/connector vertices missing or not distinct")
-    for (i, j) in sorted(expected):
-        blk = set(t.blocks[(i, j)])
-        if t.branch[i] not in blk or t.connectors[(i, j)] not in blk:
+    # each id once as the int it names, as the verifier reads it: 1 << np.int64(v) wraps
+    not_int: list = []
+    ids = as_ints(specials, not_int)
+    branch, connectors = ids[:n], dict(zip(keys, ids[n:]))
+    blocks = {k: as_ints(t.blocks[k], not_int) for k in keys}
+    if not_int:
+        return TemplateCheck(False, "structure", f"non-integer vertex ids {not_int[:5]}")
+    for (i, j) in keys:
+        if not {branch[i], connectors[(i, j)]} <= set(blocks[(i, j)]):
             return TemplateCheck(
                 False, "structure",
                 f"block ({i},{j}) missing its branch or connector vertex")
 
-    # each id as the int it names (1 << np.int64(v) wraps), every id in range
-    # before any 1 << v, then one mask per block and group
-    blocks = {k: tuple(map(operator.index, blk)) for k, blk in t.blocks.items()}
+    # every id in range before any 1 << v, then one mask per block and group
     in_range = all(0 <= min(blk) and max(blk) < g.n for blk in blocks.values())
     masks = {k: mask_of(blk) for k, blk in blocks.items()} if in_range else {}
     group = [0] * n
@@ -301,25 +312,25 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
     # the structure check put the branch in all d blocks of its group, so they
     # share only it when none lists a vertex twice and sizes sum to |group|+d-1
     for i in range(n):
-        keys = [(i, j) for j in h.neighbors(i)]
-        d, branch = len(keys), t.branch[i]
-        if (any(len(blocks[k]) != masks[k].bit_count() for k in keys)
-                or sum(len(blocks[k]) for k in keys) != group[i].bit_count() + d - 1):
-            counts = Counter(v for k in keys for v in blocks[k])
-            v = next(v for v, c in counts.items() if c != (d if v == branch else 1))
+        own = [(i, j) for j in h.neighbors(i)]
+        d = len(own)
+        if (any(len(blocks[k]) != masks[k].bit_count() for k in own)
+                or sum(len(blocks[k]) for k in own) != group[i].bit_count() + d - 1):
+            counts = Counter(v for k in own for v in blocks[k])
+            v = next(v for v, c in counts.items() if c != (d if v == branch[i] else 1))
             return TemplateCheck(False, "within-group-overlap",
                                  f"vertex {v} lies in {counts[v]} blocks of group {i}, "
-                                 f"want {d if v == branch else 1}")
+                                 f"want {d if v == branch[i] else 1}")
 
     if expected:  # one block per pattern edge end, so C = N // (d*n)
         lo, hi = g.n // len(expected), -(-g.n // len(expected)) + 1  # ceil(N/(d*n)) + 1
-        for key in sorted(expected):
-            size = len(t.blocks[key])
+        for key in keys:
+            size = len(blocks[key])
             if not (lo <= size <= hi):
                 return TemplateCheck(False, "block-size",
                                      f"block {key} has size {size}, window [{lo},{hi}]")
 
-    for key in sorted(expected):  # the cover check above put every block id in range
+    for key in keys:  # the cover check above put every block id in range
         miss = ore_miss(g.rows, blocks[key], masks[key])
         if miss is not None:
             return TemplateCheck(
@@ -328,7 +339,7 @@ def check_template(g: Graph, h: Graph, t: Template) -> TemplateCheck:
                 f"need >= {(len(blocks[key]) + 1) / 2.0}")
 
     for (i, j) in sorted((i, j) for (i, j) in expected if i < j):
-        if not g.has_edge(t.connectors[(i, j)], t.connectors[(j, i)]):
+        if not g.has_edge(connectors[(i, j)], connectors[(j, i)]):
             return TemplateCheck(
                 False, "connector-edge",
                 f"connectors of edge ({i},{j}) not adjacent in the host")

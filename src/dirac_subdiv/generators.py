@@ -46,6 +46,9 @@ class HostSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "d", "C"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         check_pattern_dimensions(self.n, self.d)
         if self.C < 1:
             raise ValueError("blow-up constant C must be >= 1")

@@ -207,6 +207,16 @@ def checked_ids(g: Graph, ids: Iterable[int], what: str = "member set") -> list[
     return vs
 
 
+def as_ints(ids, not_int: list) -> list:
+    """A sequence of ids as the ints operator.index reads, numpy ones too; an
+    id it cannot read, such as 2.0, "3" or None, reads as None and joins not_int."""
+    try:
+        return list(map(operator.index, ids))
+    except TypeError:
+        not_int.extend(v for v in ids if not hasattr(v, "__index__"))
+        return [operator.index(v) if hasattr(v, "__index__") else None for v in ids]
+
+
 def induced(g: Graph, members: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on a vertex set, with the id-relabeling map.
 

@@ -14,8 +14,6 @@ limited to EXACT_THRESHOLD vertices, and a larger such set is a ValueError.
 
 from __future__ import annotations
 
-import operator
-
 from .graph import Graph, bits, checked_ids, induced, mask_of
 # spawn_seed is unused here; perfbench/spans.py traces it as hampath.spawn_seed
 from .rng import spawn_seed
@@ -34,15 +32,16 @@ def is_simple_path(g: Graph, seq) -> bool:
 
 
 def _path_vertices(g: Graph, x: int, y: int, within=None):
-    """The vertices a Hamilton x,y-path covers, ascending: all of g, or the
-    set `within`, once checked to hold only ids of g and both endpoints,
-    which must differ."""
+    """x and y as plain ints of g, and the vertices a Hamilton x,y-path
+    covers, ascending: all of g, or the set `within`, once checked to hold
+    only ids of g and both endpoints, which must differ."""
+    x, y = g._vertex(x), g._vertex(y)
     vs = range(g.n) if within is None else checked_ids(g, within, "vertex set")
     if x == y:
         raise ValueError("endpoints must be distinct")
     if x not in vs or y not in vs:
         raise ValueError(f"endpoints ({x},{y}) must lie among the {len(vs)} path vertices")
-    return vs
+    return x, y, vs
 
 
 def ore_miss(rows, vertices, mask: int) -> tuple[int, int] | None:
@@ -137,8 +136,7 @@ def hamilton_path_between(g: Graph, x: int, y: int, return_stats: bool = False,
     With return_stats=True returns (path, stats) where stats reads
     restarts 0 and whether the exact DP ran.
     """
-    x, y = operator.index(x), operator.index(y)  # plain ints for the row shifts
-    vs = _path_vertices(g, x, y, within)
+    x, y, vs = _path_vertices(g, x, y, within)
     exact = ore_miss(g.rows, vs, mask_of(vs)) is not None
     if not exact:
         path = _ore_path(g.rows, vs, x, y)
@@ -163,7 +161,7 @@ def brute_force_hamilton_path(g: Graph, x: int, y: int) -> list[int] | None:
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")
-    _path_vertices(g, x, y)
+    x, y, _ = _path_vertices(g, x, y)
     full = g.full_mask()
     dead: set[tuple[int, int]] = set()
     path = [x]

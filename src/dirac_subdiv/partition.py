@@ -30,7 +30,6 @@ _swap_repair scores swaps on them.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, product
@@ -398,7 +397,6 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
     if level_budget < 1:
         raise ValueError("level_budget must be >= 1")
     group = checked_ids(g, group, "group")
-    center, connectors = operator.index(center), [*map(operator.index, connectors)]
     gmask = mask_of(group)
     d = len(connectors)
     if d < 1:
@@ -408,6 +406,7 @@ def block_partition(g: Graph, group: Iterable[int], center: int,
         raise ValueError("center and connectors must be distinct")
     if not specials <= set(group):
         raise ValueError("center and connectors must lie inside the group")
+    center, connectors = g._vertex(center), [*map(g._vertex, connectors)]
     rows = g.rows
     gmin = min((rows[v] & gmask).bit_count() for v in group)
     if gmin < alpha * len(group) - 1e-9:

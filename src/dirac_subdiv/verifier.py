@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .certificate import SubdivisionCertificate, as_ints
-from .graph import Graph
+from .certificate import SubdivisionCertificate
+from .graph import Graph, as_ints
 
 CHECK_NAMES = (
     "shape",             # certificate is structurally consistent with g and h

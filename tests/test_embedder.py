@@ -16,6 +16,7 @@ from dirac_subdiv import (EmbedConfig, Graph,
                           gen_random_regular, gen_two_clique_extremal,
                           HostSpec, PartitionError, SubdivisionCertificate,
                           interval_tree, verify_certificate)
+from dirac_subdiv.cli import SweepSpec
 from dirac_subdiv.embedder import TemplateCheck, _select_connectors_and_branch
 from dirac_subdiv.generators import dirac_degree_bound
 
@@ -196,6 +197,26 @@ class TestCheckTemplate:
         chk = check_template(g, h, template_copy(as_np, blocks=blocks))
         assert not chk.ok and chk.label == "cover"
         assert chk.witness == f"missing [{victim}] extra []"
+
+    @pytest.mark.parametrize("role", ["block", "connector", "branch"])
+    def test_non_integer_ids_are_reported(self, role):
+        # one id made a float: reported as the verifier's shape check words
+        # it, never compared, shifted or passed to the host's adjacency
+        g, h, t = self.base()
+        key = (0, 1)
+        if role == "block":
+            v = next(v for v in t.blocks[key] if v not in (t.branch[0], t.connectors[key]))
+            t = template_copy(t, blocks={
+                **t.blocks, key: tuple(float(u) if u == v else u for u in t.blocks[key])})
+        elif role == "connector":
+            v = t.connectors[key]
+            t = template_copy(t, connectors={**t.connectors, key: float(v)})
+        else:
+            v = t.branch[0]
+            t = template_copy(t, branch=(float(v), *t.branch[1:]))
+        chk = check_template(g, h, t)
+        assert (chk.ok, chk.label, chk.witness) == (
+            False, "structure", f"non-integer vertex ids [{float(v)}]")
 
     def test_cross_group_overlap(self):
         g, h, t = self.base()
@@ -529,6 +550,47 @@ class TestCertificateSerialization:
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             certificate_from_json('{"format": "something-else"}')
+
+
+class TestIntegerParameters:
+    """Seeds and sizes are integers, numpy ones too; a float is never read
+    as its integer part."""
+
+    @pytest.mark.parametrize("entry", ["embed", "pattern", "host"])
+    def test_float_seed_is_a_type_error(self, entry):
+        runs = {
+            "embed": lambda: embed_subdivision(complete_graph(36), complete_graph(3),
+                                               EmbedConfig(epsilon=0.3, C=6, seed=1.5)),
+            "pattern": lambda: gen_random_regular(8, 3, 1.7),
+            "host": lambda: gen_dirac_host(HostSpec(3, 2, 6, 0.4, seed=7.9)),
+        }
+        with pytest.raises(TypeError):
+            runs[entry]()
+
+    def test_numpy_seed_writes_the_plain_int_certificate(self):
+        g, h = complete_graph(36), complete_graph(3)
+        docs = [certificate_to_json(embed_subdivision(
+                    g, h, EmbedConfig(epsilon=0.3, C=6, seed=seed)).certificate)
+                for seed in (5, np.int64(5), -1, np.int64(-1), np.uint64(2**64 - 1))]
+        assert docs[0] == docs[1] and docs[2] == docs[3] == docs[4]
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: HostSpec(4.0, 3, 12, 0.25), "n"),
+        (lambda: HostSpec(4, 3.0, 12, 0.25), "d"),
+        (lambda: HostSpec(4, 3, 12.0, 0.25), "C"),
+        (lambda: EmbedConfig(epsilon=0.3, C=6.0), "C"),
+        (lambda: EmbedConfig(epsilon=0.3, master_attempts=1.5), "master_attempts"),
+        (lambda: SweepSpec(kinds=("complete",), ns=(3,), ds=(2,), Cs=(6.0,),
+                           epsilons=(0.4,), trials=1), "C"),
+    ], ids=["host-n", "host-d", "host-C", "embed-C", "embed-master_attempts", "sweep-Cs"])
+    def test_non_integer_size_is_a_value_error(self, make, field):
+        with pytest.raises(ValueError, match=rf"\b{field} must be an integer"):
+            make()
+
+    def test_numpy_sizes_pass(self):
+        assert HostSpec(*map(np.int64, (4, 3, 12)), 0.25).N == 144
+        cfg = EmbedConfig(epsilon=0.3, C=np.int64(6), master_attempts=np.int64(2))
+        assert embed_subdivision(complete_graph(36), complete_graph(3), cfg).success
 
 
 class TestAttemptCounts:
